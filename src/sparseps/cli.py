@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .errors import SparsePSError
+from .errors import DegenerateSamplesError, SparsePSError
 from .evaluation import (
     InpaintLsSolver,
     LsSolver,
@@ -29,7 +29,13 @@ from .evaluation import (
 )
 from .geometry import sample_hemisphere_lights
 from .mlp import load_model, save_model
-from .obsmap import build_observation_map, save_obsm, save_pgm
+from .obsmap import (
+    ObservationMap,
+    build_observation_map,
+    build_observation_maps,
+    save_obsm,
+    save_pgm,
+)
 from .render import BlinnPhong, Lambertian, load_scene, render_sphere, save_scene
 from .solvers import TrainConfig, make_training_set, train_alternating
 
@@ -79,19 +85,25 @@ def _add_maps(sub):
 
 
 def _run_maps(args):
+    if args.stride < 1:
+        raise ValueError("--stride must be >= 1")
     scene = load_scene(args.scene)
+    grid = np.zeros_like(scene.mask)
+    grid[::args.stride, ::args.stride] = True
+    rows, cols = np.nonzero(scene.mask & grid)
+    values, mask, ok = build_observation_maps(
+        scene.lights, scene.images[:, rows, cols], args.w)
+    if not ok.all():
+        bad = np.argmin(ok)
+        raise DegenerateSamplesError(
+            f"pixel ({rows[bad]}, {cols[bad]}): all sample irradiance values are zero")
     os.makedirs(args.out, exist_ok=True)
-    count = 0
-    for row in range(0, scene.resolution, args.stride):
-        for col in range(0, scene.resolution, args.stride):
-            if not scene.mask[row, col]:
-                continue
-            obs = build_observation_map(scene.pixel_samples(row, col), args.w)
-            stem = os.path.join(args.out, f"map_r{row:03d}_c{col:03d}")
-            save_obsm(obs, stem + ".obsm")
-            save_pgm(obs, stem + ".pgm")
-            count += 1
-    print(f"wrote {count} observation maps to {args.out}")
+    for row, col, pixel_values in zip(rows, cols, values):
+        obs = ObservationMap(pixel_values, mask)
+        stem = os.path.join(args.out, f"map_r{row:03d}_c{col:03d}")
+        save_obsm(obs, stem + ".obsm")
+        save_pgm(obs, stem + ".pgm")
+    print(f"wrote {rows.size} observation maps to {args.out}")
 
 
 def _add_train(sub):

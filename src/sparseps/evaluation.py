@@ -16,16 +16,15 @@ from typing import List
 import numpy as np
 
 from . import fileio
-from .errors import DegenerateSamplesError, SparsePSError
+from .errors import SparsePSError
 from .geometry import angular_error_deg, perturb_light
-from .obsmap import PixelSamples, build_observation_map
+from .obsmap import axis_from_normal, build_observation_maps, map_cell_lights
 from .render import RenderedScene, inject_cast_shadow
-from .solvers import (
-    dense_map_to_samples,
-    ls_normal,
-    ls_normal_batch,
-    symmetry_inpaint,
-)
+from .solvers import ls_normal_batch, symmetry_inpaint_maps
+
+# Unused here, but bound: bench/run.py traces these names on this module.
+from .obsmap import build_observation_map  # noqa: F401,E402
+from .solvers import ls_normal, symmetry_inpaint  # noqa: F401,E402
 
 
 @dataclass
@@ -65,11 +64,11 @@ class LsSolver:
 
 
 class InpaintLsSolver:
-    """Bootstrap LS, symmetry inpainting, then LS on the completed map.
+    """Bootstrap LS, symmetry inpainting, then LS on the completed maps.
 
-    The bootstrap estimate supplies the mirror axis; the inpainted dense map
-    is decoded back to (cell light, value) pairs and refit.  mirror_step=False
-    gives the diffusion-only control variant.
+    The bootstrap estimate supplies each pixel's mirror axis; the inpainted
+    dense maps are read at the in-disk cell centres and refit in one batch.
+    mirror_step=False gives the diffusion-only control variant.
     """
 
     def __init__(self, w=32, mirror_step=True):
@@ -80,28 +79,23 @@ class InpaintLsSolver:
     def solve_batch(self, lights, irradiance_matrix):
         m = irradiance_matrix.shape[1]
         normals = np.zeros((m, 3))
-        valid = np.zeros(m, dtype=bool)
-        boot, boot_valid = ls_normal_batch(lights, irradiance_matrix)
-        for p in range(m):
-            if not boot_valid[p]:
-                continue
-            try:
-                sparse = build_observation_map(
-                    PixelSamples(lights, irradiance_matrix[:, p]), self.w)
-                dense = symmetry_inpaint(
-                    sparse, n_hint=boot[p], mirror_step=self.mirror_step)
-                cells = dense_map_to_samples(dense)
-                normals[p], _ = ls_normal(cells.lights, cells.irradiance)
-                valid[p] = True
-            except SparsePSError:
-                continue
+        # An all-zero column, the one map build_observation_maps flags,
+        # already fails the bootstrap fit.
+        boot, valid = ls_normal_batch(lights, irradiance_matrix)
+        values, mask, _ = build_observation_maps(lights, irradiance_matrix, self.w)
+        axes = axis_from_normal(boot[valid]) if self.mirror_step else None
+        dense = symmetry_inpaint_maps(values[valid], mask, axes)
+        cell_lights, rows, cols = map_cell_lights(self.w)
+        normals[valid], refit_valid = ls_normal_batch(
+            cell_lights, dense[:, rows, cols].T)
+        valid[valid] = refit_valid
         return normals, valid
 
 
 class ModelSolver:
     """Trained interpolation + estimation models applied per pixel.
 
-    Maps for all pixels of a trial are built individually but run through
+    The maps of all pixels of a trial are built in one batch and run through
     the models as one batch.
     """
 
@@ -115,23 +109,12 @@ class ModelSolver:
     def solve_batch(self, lights, irradiance_matrix):
         m = irradiance_matrix.shape[1]
         normals = np.zeros((m, 3))
-        valid = np.zeros(m, dtype=bool)
-        w2 = self.w * self.w
-        inputs = np.zeros((m, 2 * w2))
-        for p in range(m):
-            try:
-                obs = build_observation_map(
-                    PixelSamples(lights, irradiance_matrix[:, p]), self.w)
-            except DegenerateSamplesError:
-                continue
-            inputs[p, :w2] = obs.values.ravel()
-            inputs[p, w2:] = obs.mask.ravel()
-            valid[p] = True
+        values, mask, valid = build_observation_maps(lights, irradiance_matrix, self.w)
         if not valid.any():
             return normals, valid
-        s_flat = inputs[valid, :w2]
-        d_flat = self.li.forward(np.concatenate(
-            [s_flat, inputs[valid, w2:]], axis=1))
+        s_flat = values[valid].reshape(-1, self.w * self.w)
+        m_flat = np.broadcast_to(mask.ravel().astype(float), s_flat.shape)
+        d_flat = self.li.forward(np.concatenate([s_flat, m_flat], axis=1))
         u = self.ne.forward(np.concatenate([s_flat, d_flat], axis=1))
         norms = np.linalg.norm(u, axis=1)
         ok = norms > 0
@@ -140,8 +123,7 @@ class ModelSolver:
         flip = sub[:, 2] < 0
         sub[flip] = -sub[flip]
         normals[valid] = sub
-        idx = np.nonzero(valid)[0]
-        valid[idx[~ok]] = False
+        valid[valid] = ok
         return normals, valid
 
 
@@ -150,10 +132,13 @@ def run_trials(scene: RenderedScene, solver, cfg: TrialConfig) -> EvalReport:
 
     Each trial samples cfg.n_lights pool indices without replacement; with
     cfg.sigma_deg > 0 the solver receives perturbed directions while pixel
-    values stay those imaged under the true lights.  Pixels a solver cannot
-    handle are excluded from the trial mean and counted.
+    values stay those imaged under the true lights.  The perturbations come
+    from their own generator, so every noise level of a sweep sees the same
+    light subsets.  Pixels a solver cannot handle are excluded from the trial
+    mean and counted.
     """
     rng = np.random.default_rng(cfg.seed)
+    noise_rng = np.random.default_rng([cfg.seed, 1])
     pool = scene.lights.shape[0]
     if cfg.n_lights > pool:
         raise ValueError("n_lights exceeds the rendered light pool")
@@ -169,7 +154,7 @@ def run_trials(scene: RenderedScene, solver, cfg: TrialConfig) -> EvalReport:
         irr = pixel_values[idx]
         if cfg.sigma_deg > 0:
             solver_lights = np.stack([
-                perturb_light(l, cfg.sigma_deg, rng) for l in true_lights
+                perturb_light(l, cfg.sigma_deg, noise_rng) for l in true_lights
             ])
         else:
             solver_lights = true_lights

@@ -88,35 +88,52 @@ def project_light(l, w):
 
 
 def _project_lights(lights, w):
-    """Vectorized projection; returns (rows, cols) int arrays."""
+    """Vectorized projection; returns each light's flat cell index row * w + col."""
     lights = np.asarray(lights, dtype=float)
-    if np.any(lights[:, 2] < 0):
+    if (lights[:, 2] < 0).any():
         raise HemisphereError("light list contains a direction below the horizon")
-    cols = np.clip(np.floor(w * (lights[:, 0] + 1.0) / 2.0), 0, w - 1).astype(int)
-    rows = np.clip(np.floor(w * (lights[:, 1] + 1.0) / 2.0), 0, w - 1).astype(int)
-    return rows, cols
+    # Both coordinates at once: the per-sample training maps pay for every call.
+    grid = np.floor(w * (lights[:, :2] + 1.0) / 2.0)
+    col, row = np.minimum(np.maximum(grid, 0), w - 1).astype(int).T
+    return row * w + col
+
+
+def build_observation_maps(lights, irradiance_matrix, w):
+    """Scatter the samples of many points sharing one light set into w x w maps.
+
+    irradiance_matrix has shape (k, m), one column per point.  Samples landing
+    in the same cell are averaged (summed in light order), then each map is
+    divided by its column's peak so values lie in [0, 1].  Returns
+    (values (m, w, w), mask (w, w) uint8, ok (m,)): the mask marks the
+    occupied cells, the same for every column, and ok is False for all-zero
+    columns, whose maps stay zero.
+    """
+    irr = np.asarray(irradiance_matrix, dtype=float)
+    if not (np.isfinite(irr).all() and (irr >= 0).all()):
+        raise ValueError("irradiance must be finite and nonnegative")
+    cell = _project_lights(lights, w)
+    counts = np.bincount(cell, minlength=w * w)
+    peak = irr.max(axis=0)
+    ok = peak > 0.0
+    values = np.zeros((w * w, irr.shape[1]))
+    np.add.at(values, cell, irr)
+    # Empty cells hold 0 / 1 / peak = 0.
+    values /= np.maximum(counts, 1)[:, None]
+    values /= np.where(ok, peak, 1.0)
+    mask = (counts > 0).astype(np.uint8).reshape(w, w)
+    return values.T.reshape(-1, w, w), mask, ok
 
 
 def build_observation_map(samples: PixelSamples, w: int) -> ObservationMap:
-    """Scatter a point's samples into a w x w map.
+    """One point's map: build_observation_maps on a single column.
 
-    Samples landing in the same cell are averaged, then the whole grid is
-    divided by the maximum sample irradiance so values lie in [0, 1].  The
-    mask marks exactly the occupied cells.  Raises DegenerateSamplesError
-    when every irradiance is zero.
+    Raises DegenerateSamplesError when every irradiance is zero.
     """
-    peak = float(np.max(samples.irradiance))
-    if peak <= 0.0:
+    values, mask, ok = build_observation_maps(
+        samples.lights, samples.irradiance[:, None], w)
+    if not ok[0]:
         raise DegenerateSamplesError("all sample irradiance values are zero")
-    rows, cols = _project_lights(samples.lights, w)
-    sums = np.zeros((w, w))
-    counts = np.zeros((w, w))
-    np.add.at(sums, (rows, cols), samples.irradiance)
-    np.add.at(counts, (rows, cols), 1.0)
-    occupied = counts > 0
-    values = np.zeros((w, w))
-    values[occupied] = sums[occupied] / counts[occupied] / peak
-    return ObservationMap(values, occupied.astype(np.uint8))
+    return ObservationMap(values[0], mask)
 
 
 def map_cell_lights(w):
@@ -141,14 +158,15 @@ def axis_from_normal(n):
     """Unit 2D direction of a normal's in-plane projection.
 
     Falls back to the fixed convention (1, 0) when the normal is within 1e-6
-    of the viewing axis, where every direction is equally valid.
+    of the viewing axis, where every direction is equally valid.  A stack of
+    normals (..., 3) gives a stack of axes (..., 2), each bit-identical to
+    the single-normal call.
     """
-    n = np.asarray(n, dtype=float)
-    planar = n[:2]
-    norm = np.linalg.norm(planar)
-    if norm <= 1e-6:
-        return np.array([1.0, 0.0])
-    return planar / norm
+    planar = np.asarray(n, dtype=float)[..., :2]
+    # matmul takes the same dot product as np.linalg.norm of one vector.
+    norm = np.sqrt(planar[..., None, :] @ planar[..., :, None])[..., 0]
+    fallback = norm <= 1e-6
+    return np.where(fallback, [1.0, 0.0], planar / np.where(fallback, 1.0, norm))
 
 
 def _centered_grid(w):
@@ -166,6 +184,39 @@ def _centered_grid(w):
 _centered_grid._cache = {}
 
 
+def _reflection(w, axes):
+    """Mirror terms for axes (B, 2): (cos2, sin2) of the doubled axis angle,
+    each (B, 1), and the reflected index positions (pos_x, pos_y), each
+    (B, w*w)."""
+    axes = np.asarray(axes, dtype=float)
+    c0 = (w - 1) / 2.0
+    px, py = _centered_grid(w)
+    ax = axes[:, 0:1]
+    ay = axes[:, 1:2]
+    cos2 = ax * ax - ay * ay
+    sin2 = 2.0 * ax * ay
+    pos_x = cos2 * px + sin2 * py + c0
+    pos_y = sin2 * px - cos2 * py + c0
+    return cos2, sin2, pos_x, pos_y
+
+
+def mirror_sources(w, axes):
+    """Nearest cell to each cell's mirror position about each axis (B, 2).
+
+    Returns (src, inside), each (B, w*w): src indexes the flattened stack of
+    B grids, and inside is False where the mirror position rounds to a cell
+    outside the grid (src is then meaningless).
+    """
+    _, _, cx, cy = _reflection(w, axes)
+    np.rint(cx, out=cx)
+    np.rint(cy, out=cy)
+    inside = (cy >= 0) & (cy < w) & (cx >= 0) & (cx < w)
+    cy *= w
+    cy += cx                                  # whole numbers, exact in float64
+    cy += np.arange(cy.shape[0])[:, None] * (w * w)
+    return cy.astype(np.int64), inside
+
+
 class ReflectionPlan:
     """Precomputed geometry for mirroring a w x w grid about a center axis.
 
@@ -180,14 +231,10 @@ class ReflectionPlan:
         axis = np.asarray(axis, dtype=float)
         self.w = w
         self.axis = axis
-        c0 = (w - 1) / 2.0
         px, py = _centered_grid(w)
-        ax, ay = axis
-        cos2 = ax * ax - ay * ay
-        sin2 = 2.0 * ax * ay
         # Reflected sample positions in index coordinates.
-        self.pos_x = cos2 * px + sin2 * py + c0
-        self.pos_y = sin2 * px - cos2 * py + c0
+        cos2, sin2, self.pos_x, self.pos_y = (
+            a[0] for a in _reflection(w, axis[None]))
         # Derivative of the position w.r.t. the axis angle psi.
         self.dpos_x = 2.0 * (-sin2 * px + cos2 * py)
         self.dpos_y = 2.0 * (cos2 * px + sin2 * py)
@@ -231,12 +278,11 @@ class ReflectionPlan:
         return out
 
     def gather_nearest(self, grid):
-        """Nearest-neighbor read at the reflected positions (used for masks)."""
-        cx = np.rint(self.pos_x).astype(int)
-        cy = np.rint(self.pos_y).astype(int)
-        inside = (cy >= 0) & (cy < self.w) & (cx >= 0) & (cx < self.w)
+        """Nearest-neighbor read at the reflected positions (used for masks);
+        cells reflected outside the grid read zero."""
+        src, inside = mirror_sources(self.w, self.axis[None])
         out = np.zeros(self.w * self.w, dtype=grid.dtype)
-        out[inside] = grid[cy[inside], cx[inside]]
+        out[inside[0]] = grid.reshape(-1)[src[inside]]
         return out.reshape(self.w, self.w)
 
     def position_gradient(self, values):
@@ -275,14 +321,8 @@ class BatchReflection:
         axes = np.asarray(axes, dtype=float)
         self.w = w
         self.batch = axes.shape[0]
-        c0 = (w - 1) / 2.0
         px, py = _centered_grid(w)
-        ax = axes[:, 0:1]
-        ay = axes[:, 1:2]
-        cos2 = ax * ax - ay * ay
-        sin2 = 2.0 * ax * ay
-        pos_x = cos2 * px + sin2 * py + c0           # (B, w*w)
-        pos_y = sin2 * px - cos2 * py + c0
+        cos2, sin2, pos_x, pos_y = _reflection(w, axes)   # pos: (B, w*w)
         self.dpos_x = 2.0 * (-sin2 * px + cos2 * py)
         self.dpos_y = 2.0 * (cos2 * px + sin2 * py)
         x0 = np.floor(pos_x).astype(np.int64)

@@ -164,8 +164,22 @@ def dense_map_lights(light_count, w):
     When the budget allows, the sequence starts with one light per in-disk
     grid cell center (so dense maps have no interior holes) and fills the
     remainder with a disk-uniform golden spiral; otherwise it is the spiral
-    alone.  Deterministic for given (light_count, w).
+    alone.  Deterministic for given (light_count, w): the array is built once
+    per pair, cached and returned read-only.
     """
+    key = (int(light_count), int(w))
+    cached = dense_map_lights._cache.get(key)
+    if cached is None:
+        cached = _dense_map_lights(*key)
+        cached.flags.writeable = False
+        dense_map_lights._cache[key] = cached
+    return cached
+
+
+dense_map_lights._cache = {}
+
+
+def _dense_map_lights(light_count, w):
     from .geometry import GOLDEN_ANGLE
     from .obsmap import map_cell_lights
 

@@ -32,11 +32,11 @@ from .obsmap import (
     BatchReflection,
     ObservationMap,
     PixelSamples,
-    ReflectionPlan,
     axis_from_normal,
     batch_axes_from_normals,
     build_observation_map,
     map_cell_lights,
+    mirror_sources,
 )
 from .render import BlinnPhong, Lambertian, make_dense_gt_map, shade
 
@@ -45,100 +45,128 @@ from .render import BlinnPhong, Lambertian, make_dense_gt_map, shade
 # Classical least-squares baseline
 # ---------------------------------------------------------------------------
 
-def ls_normal(lights, irradiances):
-    """Lambertian least-squares fit: solve min ||L b - i|| for b = albedo * n.
-
-    Returns (normal, albedo) with the normal's z sign forced nonnegative.
-    Raises DegenerateLightingError when the lights do not span 3D and
-    NormalizationError when the fitted vector vanishes.
-    """
-    lights = np.asarray(lights, dtype=float)
-    irradiances = np.asarray(irradiances, dtype=float)
-    if lights.shape[0] < 3 or np.linalg.matrix_rank(lights) < 3:
-        raise DegenerateLightingError("need >= 3 lights spanning 3D")
-    b, *_ = np.linalg.lstsq(lights, irradiances, rcond=None)
-    albedo = float(np.linalg.norm(b))
-    if albedo == 0.0:
-        raise NormalizationError("least-squares fit produced a zero vector")
-    n = b / albedo
-    if n[2] < 0:
-        n = -n
-    return n, albedo
-
-
 def ls_normal_batch(lights, irradiance_matrix):
-    """Vectorized least squares over many pixels sharing one light set.
+    """Lambertian least squares over many pixels sharing one light set.
 
-    irradiance_matrix has shape (k, m); returns (normals (m, 3), valid (m,))
-    where invalid marks pixels whose fit vanished.
+    Solves min ||L b - i|| for b = albedo * n, one column of irradiance_matrix
+    (k, m) per pixel.  Returns (normals (m, 3), valid (m,)) with each
+    normal's z sign forced nonnegative; invalid marks pixels whose fit
+    vanished.  Raises DegenerateLightingError when the lights do not span 3D.
     """
+    normals, albedo = _ls_fit(lights, irradiance_matrix)
+    return normals, albedo > 0
+
+
+def ls_normal(lights, irradiances):
+    """ls_normal_batch for one pixel; returns (normal, albedo).
+
+    Raises NormalizationError when the fitted vector vanishes.
+    """
+    normals, albedo = _ls_fit(lights, np.asarray(irradiances, dtype=float)[:, None])
+    if albedo[0] == 0.0:
+        raise NormalizationError("least-squares fit produced a zero vector")
+    return normals[0], float(albedo[0])
+
+
+def _ls_fit(lights, irradiance_matrix):
     lights = np.asarray(lights, dtype=float)
     irr = np.asarray(irradiance_matrix, dtype=float)
-    if lights.shape[0] < 3 or np.linalg.matrix_rank(lights) < 3:
+    if lights.shape[0] < 3:
         raise DegenerateLightingError("need >= 3 lights spanning 3D")
-    b, *_ = np.linalg.lstsq(lights, irr, rcond=None)      # (3, m)
+    b, _, rank, _ = np.linalg.lstsq(lights, irr, rcond=None)      # (3, m)
+    if rank < 3:
+        raise DegenerateLightingError("need >= 3 lights spanning 3D")
     norms = np.linalg.norm(b, axis=0)
     valid = norms > 0
     normals = np.zeros((irr.shape[1], 3))
     normals[valid] = (b[:, valid] / norms[valid]).T
     flip = normals[:, 2] < 0
     normals[flip] = -normals[flip]
-    return normals, valid
+    return normals, norms
 
 
 # ---------------------------------------------------------------------------
 # Deterministic symmetry inpainter
 # ---------------------------------------------------------------------------
 
+def symmetry_inpaint_maps(values, known, axes=None, iterations=None):
+    """Complete a stack of sparse maps: mirror known cells about each map's
+    axis, then diffuse until every cell is filled.
+
+    values (m, w, w) holds the sparse maps and known (m, w, w) or (w, w)
+    their known cells, which are never modified.  With axes (m, 2), the
+    mirror step copies (nearest neighbor) the value of the reflected cell
+    into each empty cell whose reflection is known; axes=None skips it.
+    Remaining holes are filled by repeated 3x3 masked-mean passes, each
+    computed only on the cells it fills.  `iterations`, when given, caps the
+    passes, with a map's leftovers taking the mean of its filled cells.
+    Returns the dense values (m, w, w), clipped to [0, 1] outside the known
+    cells.  Every map needs at least one known cell.
+    """
+    values = np.asarray(values, dtype=float)
+    m, w = values.shape[0], values.shape[-1]
+    known = np.broadcast_to(np.asarray(known, dtype=bool), values.shape)
+    current = np.where(known, values, 0.0).reshape(m, w * w)
+    filled = known.reshape(m, w * w).copy()
+    if axes is not None:
+        src, take = mirror_sources(w, axes)
+        take &= ~filled
+        take[take] = known.reshape(-1)[src[take]]
+        current[take] = current.reshape(-1)[src[take]]
+        filled |= take
+
+    # Zero-padded buffers: every cell's 3x3 neighborhood is in bounds.
+    side = w + 2
+    padded_v = np.zeros((m, side, side))
+    padded_f = np.zeros((m, side, side), dtype=bool)
+    padded_v[:, 1:-1, 1:-1] = current.reshape(m, w, w)
+    padded_f[:, 1:-1, 1:-1] = filled.reshape(m, w, w)
+    del current, filled          # lower the peak memory of the passes
+    flat_v = padded_v.reshape(-1)
+    flat_f = padded_f.reshape(-1)
+    grow = np.zeros_like(padded_f)
+    offsets = [dr * side + dc for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
+    passes = 0
+    while True:
+        # The cells a pass fills: empty ones in the 3x3 dilation of the filled.
+        across = padded_f[:, :, :-2] | padded_f[:, :, 1:-1] | padded_f[:, :, 2:]
+        np.logical_and(across[:, :-2] | across[:, 1:-1] | across[:, 2:],
+                       ~padded_f[:, 1:-1, 1:-1], out=grow[:, 1:-1, 1:-1])
+        centre = np.flatnonzero(grow)
+        if centre.size == 0:
+            break
+        if iterations is not None and passes >= iterations:
+            for k in np.unique(centre // (side * side)):
+                grid, have = padded_v[k, 1:-1, 1:-1], padded_f[k, 1:-1, 1:-1]
+                grid[~have] = grid[have].mean()
+            break
+        sums = np.zeros(centre.size)
+        counts = np.zeros(centre.size, dtype=np.int8)
+        for off in offsets:
+            sums += flat_v[centre + off]
+            counts += flat_f[centre + off]
+        flat_v[centre] = sums / counts
+        flat_f[centre] = True
+        passes += 1
+
+    return np.where(known, values, np.clip(padded_v[:, 1:-1, 1:-1], 0.0, 1.0))
+
+
 def symmetry_inpaint(S: ObservationMap, m_s=None, n_hint=None, iterations=None,
                      mirror_step=True) -> ObservationMap:
-    """Complete a sparse map: mirror known cells about the hinted axis, then
-    diffuse until every cell is filled.
+    """Complete one sparse map: symmetry_inpaint_maps on a batch of one.
 
-    Known cells are never modified.  The mirror step copies (nearest
-    neighbor) the value of the reflected cell into each empty cell whose
-    reflection is known; remaining holes are filled by repeated 3x3 masked
-    mean passes.  `iterations`, when given, caps the diffusion passes, with
-    leftovers taking the mean of the filled cells.  Setting mirror_step=False
-    gives the diffusion-only baseline.
+    The mirror axis is axis_from_normal(n_hint); without a hint, or with
+    mirror_step=False (the diffusion-only baseline), only diffusion runs.
     """
     known = (S.mask if m_s is None else np.asarray(m_s)).astype(bool)
     if not known.any():
         raise DegenerateSamplesError("inpainting requires at least one known cell")
-    values = S.values.copy()
-    values[~known] = 0.0
-    filled = known.copy()
-
+    axes = None
     if mirror_step and n_hint is not None:
-        plan = ReflectionPlan(S.width, axis_from_normal(n_hint))
-        mirrored_vals = plan.gather_nearest(values)
-        mirrored_known = plan.gather_nearest(known.astype(np.uint8)).astype(bool)
-        take = ~filled & mirrored_known
-        values[take] = mirrored_vals[take]
-        filled |= take
-
-    passes = 0
-    while not filled.all():
-        if iterations is not None and passes >= iterations:
-            values[~filled] = values[filled].mean()
-            filled[:] = True
-            break
-        padded_v = np.pad(values * filled, 1)
-        padded_m = np.pad(filled.astype(float), 1)
-        sums = np.zeros_like(values)
-        counts = np.zeros_like(values)
-        for dr in (0, 1, 2):
-            for dc in (0, 1, 2):
-                sums += padded_v[dr:dr + S.width, dc:dc + S.width]
-                counts += padded_m[dr:dr + S.width, dc:dc + S.width]
-        grow = ~filled & (counts > 0)
-        values[grow] = sums[grow] / counts[grow]
-        filled |= grow
-        passes += 1
-
-    out = np.clip(values, 0.0, 1.0)
-    out[known] = S.values[known]
-    return ObservationMap(out, np.ones_like(S.mask))
+        axes = axis_from_normal(n_hint)[None]
+    dense = symmetry_inpaint_maps(S.values[None], known, axes, iterations)[0]
+    return ObservationMap(dense, np.ones_like(S.mask))
 
 
 def dense_map_to_samples(D: ObservationMap) -> PixelSamples:

@@ -84,3 +84,141 @@ def symmetric_map(w, rng=None, axis="vertical"):
     else:                          # normal (1, 0, 0) or (0, 0, 1): row flip
         values = (base + base[::-1, :]) / 2.0
     return ObservationMap(values, np.ones((w, w), np.uint8))
+
+
+# ---------------------------------------------------------------------------
+# Per-pixel references for the batched evaluation path
+# ---------------------------------------------------------------------------
+
+def reference_observation_map(lights, irradiance, w):
+    """One point's map built cell by cell: (values, mask), or None when
+    every irradiance is zero."""
+    peak = float(np.max(irradiance))
+    if peak <= 0.0:
+        return None
+    cols = np.clip(np.floor(w * (lights[:, 0] + 1.0) / 2.0), 0, w - 1).astype(int)
+    rows = np.clip(np.floor(w * (lights[:, 1] + 1.0) / 2.0), 0, w - 1).astype(int)
+    sums = np.zeros((w, w))
+    counts = np.zeros((w, w))
+    np.add.at(sums, (rows, cols), irradiance)
+    np.add.at(counts, (rows, cols), 1.0)
+    occupied = counts > 0
+    values = np.zeros((w, w))
+    values[occupied] = sums[occupied] / counts[occupied] / peak
+    return values, occupied.astype(np.uint8)
+
+
+def reference_inpaint(values, known, n_hint=None, iterations=None,
+                      mirror_step=True):
+    """One map completed by whole-grid passes: nearest-neighbour mirror about
+    axis_from_normal(n_hint), 3x3 masked-mean diffusion over the padded grid,
+    clip, known cells restored."""
+    w = values.shape[0]
+    known = known.astype(bool)
+    current = values.copy()
+    current[~known] = 0.0
+    filled = known.copy()
+    if mirror_step and n_hint is not None:
+        plan = ReflectionPlan(w, axis_from_normal(n_hint))
+        cx = np.rint(plan.pos_x).astype(int)
+        cy = np.rint(plan.pos_y).astype(int)
+        inside = (cy >= 0) & (cy < w) & (cx >= 0) & (cx < w)
+        mirrored_vals = np.zeros(w * w)
+        mirrored_known = np.zeros(w * w, dtype=bool)
+        mirrored_vals[inside] = current[cy[inside], cx[inside]]
+        mirrored_known[inside] = known[cy[inside], cx[inside]]
+        take = ~filled & mirrored_known.reshape(w, w)
+        current[take] = mirrored_vals.reshape(w, w)[take]
+        filled |= take
+    passes = 0
+    while not filled.all():
+        if iterations is not None and passes >= iterations:
+            current[~filled] = current[filled].mean()
+            filled[:] = True
+            break
+        padded_v = np.pad(current * filled, 1)
+        padded_m = np.pad(filled.astype(float), 1)
+        sums = np.zeros_like(current)
+        counts = np.zeros_like(current)
+        for dr in (0, 1, 2):
+            for dc in (0, 1, 2):
+                sums += padded_v[dr:dr + w, dc:dc + w]
+                counts += padded_m[dr:dr + w, dc:dc + w]
+        grow = ~filled & (counts > 0)
+        current[grow] = sums[grow] / counts[grow]
+        filled |= grow
+        passes += 1
+    out = np.clip(current, 0.0, 1.0)
+    out[known] = values[known]
+    return out
+
+
+def reference_ls_normal(lights, irradiance):
+    """LS fit of one pixel: (normal, albedo), or None when the fit vanishes."""
+    b, *_ = np.linalg.lstsq(lights, irradiance, rcond=None)
+    albedo = float(np.linalg.norm(b))
+    if albedo == 0.0:
+        return None
+    n = b / albedo
+    return (-n if n[2] < 0 else n), albedo
+
+
+def reference_inpaint_ls(lights, irradiance_matrix, w, mirror_step=True):
+    """InpaintLsSolver pixel by pixel: bootstrap LS, map, inpaint, refit."""
+    from sparseps.obsmap import map_cell_lights
+
+    m = irradiance_matrix.shape[1]
+    normals = np.zeros((m, 3))
+    valid = np.zeros(m, dtype=bool)
+    cell_lights, rows, cols = map_cell_lights(w)
+    for p in range(m):
+        boot = reference_ls_normal(lights, irradiance_matrix[:, p])
+        sparse = reference_observation_map(lights, irradiance_matrix[:, p], w)
+        if boot is None or sparse is None:
+            continue
+        dense = reference_inpaint(*sparse, n_hint=boot[0],
+                                  mirror_step=mirror_step)
+        fit = reference_ls_normal(cell_lights, dense[rows, cols])
+        if fit is not None:
+            normals[p], valid[p] = fit[0], True
+    return normals, valid
+
+
+def reference_model_solver(li, ne, lights, irradiance_matrix, w):
+    """ModelSolver with maps built pixel by pixel, then f and g on the
+    stacked maps."""
+    m = irradiance_matrix.shape[1]
+    normals = np.zeros((m, 3))
+    valid = np.zeros(m, dtype=bool)
+    s_rows, m_rows = [], []
+    for p in range(m):
+        sparse = reference_observation_map(lights, irradiance_matrix[:, p], w)
+        if sparse is not None:
+            s_rows.append(sparse[0].ravel())
+            m_rows.append(sparse[1].ravel().astype(float))
+            valid[p] = True
+    s = np.stack(s_rows)
+    d = li.forward(np.concatenate([s, np.stack(m_rows)], axis=1))
+    u = ne.forward(np.concatenate([s, d], axis=1))
+    norms = np.linalg.norm(u, axis=1)
+    idx = np.nonzero(valid)[0]
+    for row, p in enumerate(idx):
+        if norms[row] == 0:
+            valid[p] = False
+            continue
+        n = u[row] / norms[row]
+        normals[p] = -n if n[2] < 0 else n
+    return normals, valid
+
+
+def criterion_8_trial(seed=7, n_lights=10):
+    """One light draw on the 32x32 criterion-8 sphere: (lights, irradiance
+    (n_lights, pixels), true normals (pixels, 3))."""
+    from sparseps.geometry import sample_hemisphere_lights
+    from sparseps.render import BlinnPhong, render_sphere
+
+    pool = sample_hemisphere_lights(300, 75.0, np.random.default_rng(202))
+    scene = render_sphere(32, BlinnPhong(kd=0.15, ks=1.0, shininess=35.0), pool)
+    idx = np.random.default_rng(seed).choice(300, size=n_lights, replace=False)
+    return (scene.lights[idx], scene.images[idx][:, scene.mask],
+            scene.normals[scene.mask])

@@ -130,6 +130,21 @@ class TestMaps:
         assert any(f.endswith(".obsm") for f in files)
         assert any(f.endswith(".pgm") for f in files)
 
+    def test_maps_match_inspect(self, scene_dir, tmp_path):
+        out = tmp_path / "maps"
+        assert run("maps", "--scene", scene_dir, "--stride", 16, "--out", out) == 0
+        stem = sorted(f for f in os.listdir(out) if f.endswith(".pgm"))[0]
+        row, col = int(stem[5:8]), int(stem[10:13])
+        assert run("inspect", "--scene", scene_dir, "--pixel", f"{row},{col}",
+                   "--out", tmp_path / "one.pgm") == 0
+        np.testing.assert_array_equal(read_pgm(out / stem),
+                                      read_pgm(tmp_path / "one.pgm"))
+
+    @pytest.mark.parametrize("stride", [0, -8])
+    def test_stride_below_one_is_domain_error(self, scene_dir, tmp_path, stride):
+        assert run("maps", "--scene", scene_dir, "--stride", stride,
+                   "--out", tmp_path / "maps") == 1
+
 
 class TestTrainCommand:
     def test_train_writes_checkpoints(self, tmp_path):

@@ -3,6 +3,11 @@
 import numpy as np
 import pytest
 
+from helpers import (
+    criterion_8_trial,
+    reference_inpaint_ls,
+    reference_model_solver,
+)
 from sparseps.evaluation import (
     InpaintLsSolver,
     LsSolver,
@@ -15,7 +20,7 @@ from sparseps.evaluation import (
     write_report,
 )
 from sparseps.fileio import read_pgm, read_pfm
-from sparseps.geometry import normalize, sample_hemisphere_lights
+from sparseps.geometry import angular_error_deg, normalize, sample_hemisphere_lights
 from sparseps.obsmap import PixelSamples
 from sparseps.render import Lambertian, render_sphere, shade
 from sparseps.solvers import new_li_model, new_ne_model
@@ -103,6 +108,25 @@ class TestNoiseSweep:
         assert all(b >= a for a, b in zip(means, means[1:]))
         assert means[-1] > means[0]
 
+    def test_levels_share_light_draws(self):
+        class Recorder:
+            name = "ls"
+
+            def __init__(self):
+                self.lights = []
+
+            def solve_batch(self, lights, irradiance_matrix):
+                self.lights.append(lights)
+                return LsSolver().solve_batch(lights, irradiance_matrix)
+
+        scene = shadow_free_sphere()
+        cfg = TrialConfig(n_trials=25, seed=6)
+        clean, noisy = Recorder(), Recorder()
+        run_trials(scene, clean, cfg)
+        run_trials(scene, noisy, TrialConfig(n_trials=25, seed=6, sigma_deg=2.0))
+        for exact, perturbed in zip(clean.lights, noisy.lights):
+            assert np.all(angular_error_deg(perturbed, exact) < 15.0)
+
     def test_unsorted_sigmas_rejected(self):
         scene = shadow_free_sphere()
         with pytest.raises(ValueError):
@@ -163,6 +187,44 @@ class TestOtherSolvers:
                             TrialConfig(n_trials=2, seed=13))
         assert report.solver == "trained"
         assert np.isfinite(report.overall_mean_deg)
+
+
+def angle_rad(a, b):
+    """Angle between rows of a and b, accurate near zero."""
+    return np.arctan2(np.linalg.norm(np.cross(a, b), axis=1), np.sum(a * b, axis=1))
+
+
+class TestBatchedSolversMatchPerPixelLoops:
+    def setup_class(cls):
+        cls.lights, irr, _ = criterion_8_trial()
+        cls.irr = irr[:, ::3].copy()
+        cls.irr[:, 5] = 0.0                 # a pixel in shadow under every light
+
+    def assert_same(self, got, ref):
+        normals, valid = got
+        ref_normals, ref_valid = ref
+        np.testing.assert_array_equal(valid, ref_valid)
+        assert not valid[5]
+        assert angle_rad(normals[valid], ref_normals[valid]).max() <= 1e-12
+        np.testing.assert_array_equal(normals[~valid], 0.0)
+
+    @pytest.mark.parametrize("mirror_step", [True, False])
+    def test_inpaint_ls(self, mirror_step):
+        solver = InpaintLsSolver(w=32, mirror_step=mirror_step)
+        self.assert_same(
+            solver.solve_batch(self.lights, self.irr),
+            reference_inpaint_ls(self.lights, self.irr, 32, mirror_step))
+
+    def test_model_solver(self):
+        rng = np.random.default_rng(12)
+        li = new_li_model(32, rng, hidden=(16,))
+        ne = new_ne_model(32, rng, hidden=(16,))
+        for layer in ne.layers:
+            layer.bias += rng.normal(0, 0.1, layer.bias.shape)
+        got = ModelSolver(li, ne, w=32).solve_batch(self.lights, self.irr)
+        ref = reference_model_solver(li, ne, self.lights, self.irr, 32)
+        self.assert_same(got, ref)
+        np.testing.assert_array_equal(got[0], ref[0])
 
 
 class TestReports:

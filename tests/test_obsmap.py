@@ -6,12 +6,14 @@ import pytest
 from sparseps.errors import DegenerateSamplesError, HemisphereError
 from sparseps.fileio import read_pgm
 from sparseps.geometry import fibonacci_hemisphere, normalize
+from helpers import reference_observation_map
 from sparseps.obsmap import (
     ObservationMap,
     PixelSamples,
     avg_pool,
     axis_from_normal,
     build_observation_map,
+    build_observation_maps,
     load_obsm,
     map_cell_lights,
     mirror,
@@ -95,6 +97,39 @@ class TestBuildObservationMap:
         assert np.count_nonzero(obs.values) == 1
 
 
+class TestBuildObservationMaps:
+    def setup_method(self):
+        rng = np.random.default_rng(21)
+        lights = fibonacci_hemisphere(9)
+        self.lights = np.vstack([lights, lights[:1], lights[:1]])
+        self.irr = rng.uniform(0.0, 2.0, size=(11, 6))
+        self.irr[:, 2] = 0.0                  # all-zero column
+        self.irr[4, 3] = 0.0                  # one dark sample
+
+    def test_equals_per_column_maps_bit_for_bit(self):
+        values, mask, ok = build_observation_maps(self.lights, self.irr, 32)
+        # The last two lights repeat the first: three share one cell.
+        assert mask.sum() == 9
+        np.testing.assert_array_equal(ok, [True, True, False, True, True, True])
+        for p in range(self.irr.shape[1]):
+            ref = reference_observation_map(self.lights, self.irr[:, p], 32)
+            if ref is None:
+                assert not ok[p]
+                np.testing.assert_array_equal(values[p], 0.0)
+                continue
+            np.testing.assert_array_equal(values[p], ref[0])
+            np.testing.assert_array_equal(mask, ref[1])
+            single = build_observation_map(PixelSamples(self.lights, self.irr[:, p]), 32)
+            np.testing.assert_array_equal(single.values, ref[0])
+            np.testing.assert_array_equal(single.mask, ref[1])
+
+    def test_negative_irradiance_rejected(self):
+        irr = self.irr.copy()
+        irr[0, 0] = -1.0
+        with pytest.raises(ValueError):
+            build_observation_maps(self.lights, irr, 32)
+
+
 class TestPixelSamplesValidation:
     def test_requires_at_least_one_sample(self):
         with pytest.raises(ValueError):
@@ -135,6 +170,18 @@ class TestAxisFromNormal:
     def test_derived_normalization(self):
         axis = axis_from_normal([0.6, 0.6, 0.529])
         np.testing.assert_allclose(axis, [0.7071, 0.7071], atol=1e-4)
+
+    def test_stack_matches_single_calls_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        normals = rng.normal(size=(2000, 3))
+        normals[:3, :2] = [[0.0, 0.0], [1e-7, 0.0], [0.0, -1e-7]]
+        stacked = axis_from_normal(normals)
+        single = np.stack([axis_from_normal(n) for n in normals])
+        np.testing.assert_array_equal(stacked, single)
+        np.testing.assert_array_equal(stacked[:3], [[1.0, 0.0]] * 3)
+        # The stack path must not round the single-vector norm differently.
+        for n, axis in zip(normals[3:], single[3:]):
+            np.testing.assert_array_equal(axis, n[:2] / np.linalg.norm(n[:2]))
 
 
 class TestMirror:

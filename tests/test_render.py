@@ -216,6 +216,14 @@ class TestDenseGtMap:
         with pytest.raises(ValueError):
             make_dense_gt_map(Z, Lambertian(1.0), 50, 32)
 
+    def test_dense_lights_cached_read_only(self):
+        lights = dense_map_lights(1000, 32)
+        assert dense_map_lights(1000, 32) is lights
+        assert dense_map_lights(1000, 16) is not lights
+        with pytest.raises(ValueError):
+            lights[0, 0] = 0.5
+        assert lights.shape == (1000, 3)
+
 
 class TestSceneIO:
     def test_pfm_round_trip_gray(self, tmp_path):

@@ -3,14 +3,23 @@
 import numpy as np
 import pytest
 
+from helpers import criterion_8_trial, reference_inpaint
 from sparseps.errors import (
     DegenerateLightingError,
+    DegenerateSamplesError,
     NormalizationError,
     ShapeError,
 )
 from sparseps.geometry import normalize, sample_hemisphere_lights
 from sparseps.mlp import DenseLayer, MlpModel, load_model, save_model
-from sparseps.obsmap import ObservationMap, PixelSamples, build_observation_map, mirror
+from sparseps.obsmap import (
+    ObservationMap,
+    PixelSamples,
+    axis_from_normal,
+    build_observation_map,
+    build_observation_maps,
+    mirror,
+)
 from sparseps.render import Lambertian, make_dense_gt_map, shade
 from sparseps.solvers import (
     TrainConfig,
@@ -28,6 +37,7 @@ from sparseps.solvers import (
     new_li_model,
     new_ne_model,
     symmetry_inpaint,
+    symmetry_inpaint_maps,
     train_alternating,
 )
 
@@ -59,6 +69,15 @@ class TestLsNormal:
         lights[2] = 0.5 * lights[0] + 0.5 * lights[1]
         with pytest.raises(DegenerateLightingError):
             ls_normal(lights, np.ones(3))
+
+    def test_coplanar_batch_rejected(self):
+        # Ten lights in the x-z plane span only 2D, however many there are.
+        theta = np.linspace(-1.2, 1.2, 10)
+        lights = np.column_stack([np.sin(theta), np.zeros(10), np.cos(theta)])
+        with pytest.raises(DegenerateLightingError):
+            ls_normal_batch(lights, np.ones((10, 4)))
+        with pytest.raises(DegenerateLightingError):
+            ls_normal_batch(np.eye(3)[:2], np.ones((2, 4)))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
@@ -153,6 +172,37 @@ class TestSymmetryInpaint:
             if err_mirror < err_diff:
                 wins += 1
         assert wins >= 80
+
+
+class TestSymmetryInpaintMaps:
+    """The batched inpainter against whole-grid passes, one map at a time."""
+
+    def setup_class(cls):
+        lights, irr, _ = criterion_8_trial()
+        cls.values, cls.mask, ok = build_observation_maps(lights, irr, 32)
+        boot, boot_ok = ls_normal_batch(lights, irr)
+        keep = ok & boot_ok
+        cls.values, cls.boot = cls.values[keep], boot[keep]
+        cls.check = range(0, cls.values.shape[0], 9)
+
+    @pytest.mark.parametrize("mirror_step,iterations",
+                             [(True, None), (False, None), (True, 2), (False, 3)])
+    def test_bit_identical_to_per_map_passes(self, mirror_step, iterations):
+        axes = axis_from_normal(self.boot) if mirror_step else None
+        dense = symmetry_inpaint_maps(self.values, self.mask, axes, iterations)
+        for p in self.check:
+            ref = reference_inpaint(self.values[p], self.mask, self.boot[p],
+                                    iterations, mirror_step)
+            np.testing.assert_array_equal(dense[p], ref)
+            single = symmetry_inpaint(ObservationMap(self.values[p], self.mask),
+                                      n_hint=self.boot[p], iterations=iterations,
+                                      mirror_step=mirror_step)
+            np.testing.assert_array_equal(single.values, ref)
+
+    def test_no_known_cell_rejected(self):
+        empty = ObservationMap(np.zeros((8, 8)), np.zeros((8, 8), np.uint8))
+        with pytest.raises(DegenerateSamplesError):
+            symmetry_inpaint(empty, n_hint=Z)
 
 
 class TestForwards:
