@@ -118,6 +118,11 @@ def _add_train(sub):
     p.add_argument("--out", required=True)
 
 
+def _epoch_loss(value):
+    """An epoch's mean loss; "-" for an epoch without a step of that kind."""
+    return "-" if np.isnan(value) else f"{value:.6g}"
+
+
 def _run_train(args):
     rng = np.random.default_rng(args.seed)
     dataset = make_training_set(args.points, args.lights, args.w, rng)
@@ -129,14 +134,18 @@ def _run_train(args):
     os.makedirs(args.out, exist_ok=True)
     save_model(li, os.path.join(args.out, "li.spln"))
     save_model(ne, os.path.join(args.out, "ne.spln"))
+    epochs = [
+        f"epoch {epoch} ne {_epoch_loss(g)} li {_epoch_loss(f)}"
+        for epoch, (g, f) in enumerate(zip(trace.ne_epoch_mean, trace.li_epoch_mean))
+    ]
     with open(os.path.join(args.out, "trace.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"seed={args.seed}\n")
         fh.write(f"ne_steps={trace.ne_steps}\n")
         fh.write(f"li_steps={trace.li_steps}\n")
-        for epoch, (g, f) in enumerate(zip(trace.ne_epoch_mean, trace.li_epoch_mean)):
-            fh.write(f"epoch {epoch} ne {g:.6g} li {f:.6g}\n")
-    for epoch, (g, f) in enumerate(zip(trace.ne_epoch_mean, trace.li_epoch_mean)):
-        print(f"epoch {epoch} ne {g:.6g} li {f:.6g}")
+        for line in epochs:
+            fh.write(line + "\n")
+    for line in epochs:
+        print(line)
     print(f"saved checkpoints to {args.out}")
 
 

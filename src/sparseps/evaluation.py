@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fileio
 from .errors import SparsePSError
-from .geometry import angular_error_deg, perturb_light
+from .geometry import angular_error_deg, normalize_with_flip, perturb_light
 from .obsmap import axis_from_normal, build_observation_maps, map_cell_lights
 from .render import RenderedScene, inject_cast_shadow
 from .solvers import ls_normal_batch, symmetry_inpaint_maps
@@ -116,14 +116,8 @@ class ModelSolver:
         m_flat = np.broadcast_to(mask.ravel().astype(float), s_flat.shape)
         d_flat = self.li.forward(np.concatenate([s_flat, m_flat], axis=1))
         u = self.ne.forward(np.concatenate([s_flat, d_flat], axis=1))
-        norms = np.linalg.norm(u, axis=1)
-        ok = norms > 0
-        sub = np.zeros_like(u)
-        sub[ok] = u[ok] / norms[ok, None]
-        flip = sub[:, 2] < 0
-        sub[flip] = -sub[flip]
-        normals[valid] = sub
-        valid[valid] = ok
+        normals[valid], _, norms = normalize_with_flip(u)
+        valid[valid] = norms > 0
         return normals, valid
 
 

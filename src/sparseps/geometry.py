@@ -30,6 +30,19 @@ def normalize(v):
     return v / n
 
 
+def normalize_with_flip(u):
+    """Normalize each row of u (m, 3) and flip it into the z >= 0 hemisphere.
+
+    Returns (n, flip, norms): flip is -1.0 where a row was negated and 1.0
+    elsewhere.  Rows with a zero norm are left unscaled; each caller decides
+    whether that is an error or an invalid pixel.
+    """
+    norms = np.linalg.norm(u, axis=1)
+    n = u / np.where(norms == 0.0, 1.0, norms)[:, None]
+    flip = np.where(n[:, 2] < 0, -1.0, 1.0)
+    return n * flip[:, None], flip, norms
+
+
 def angular_error_deg(n, n_gt):
     """Angle between unit vectors in degrees, in [0, 180].
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .obsmap import ObservationMap, ReflectionPlan, avg_pool, axis_from_normal
+from .obsmap import BatchReflection, ObservationMap, axis_from_normal
 
 
 @dataclass
@@ -40,25 +40,123 @@ class LossWeights:
 DEFAULT_WEIGHTS = LossWeights()
 
 
-def _plan(values_width, n):
-    return ReflectionPlan(values_width, axis_from_normal(n))
+def _sign(x):
+    # Subgradient convention: sign(0) = 0 keeps gradients bounded at ties.
+    return np.sign(x)
 
 
-def _sym_sum(values, plan):
-    return float(np.abs(values - plan.gather(values)).sum())
+def _pool_quarter(values, w):
+    """Stride-2 average pooling of a stack of flattened maps (B, w*w)."""
+    half = w // 2
+    pooled = values.reshape(-1, half, 2, half, 2).mean(axis=(2, 4))
+    return pooled.reshape(-1, half * half)
+
+
+def _upsample_quarter(grids, half):
+    """Adjoint of _pool_quarter: spread each cell over its 2 x 2 block / 4."""
+    out = grids.reshape(-1, half, half)
+    out = np.repeat(np.repeat(out, 2, axis=1), 2, axis=2) / 4.0
+    return out.reshape(grids.shape[0], -1)
+
+
+class MirrorResidual:
+    """A stack of maps (B, w*w) minus their mirror images, one axis per map.
+
+    l1 holds sum |V - R V| per map, R the bilinear mirror of `refl`.
+    """
+
+    def __init__(self, values, refl: BatchReflection):
+        self.values = values
+        self.refl = refl
+        self.diff = values - refl.gather(values)
+        self.l1 = np.abs(self.diff).sum(axis=1)
+
+    def value_grad(self):
+        """d l1 / d V, through the adjoint of the mirror."""
+        s = _sign(self.diff)
+        return s - self.refl.adjoint(s)
+
+    def angle_grad(self):
+        """d l1 / d(axis angle), per map."""
+        return -(_sign(self.diff)
+                 * self.refl.angle_derivative_of_gather(self.values)).sum(axis=1)
+
+
+class SymmetryTerms:
+    """Symmetric and asymmetric losses of a stack of maps (B, w*w).
+
+    sym is the full-resolution mirror residual; asym is |sym - eta| plus
+    lambda_c * |pooled residual - eta|.  refl_full and refl_half mirror the
+    maps and their pooled copies (computed when `pooled` is not given).
+    """
+
+    def __init__(self, values, refl_full: BatchReflection,
+                 refl_half: BatchReflection, weights: LossWeights = DEFAULT_WEIGHTS,
+                 pooled=None):
+        self.weights = weights
+        self.full = MirrorResidual(values, refl_full)
+        if pooled is None:
+            pooled = _pool_quarter(values, refl_full.w)
+        self.half = MirrorResidual(pooled, refl_half)
+        self.sym = self.full.l1
+        self.asym = (np.abs(self.sym - weights.eta)
+                     + weights.lambda_c * np.abs(self.half.l1 - weights.eta))
+
+    def _asym_signs(self):
+        eta = self.weights.eta
+        return _sign(self.sym - eta), self.weights.lambda_c * _sign(self.half.l1 - eta)
+
+    def value_grads(self):
+        """(d sym / d V, d asym / d V), each (B, w*w)."""
+        g_sym = self.full.value_grad()
+        s_full, s_half = self._asym_signs()
+        g_half = _upsample_quarter(self.half.value_grad(), self.half.refl.w)
+        g_asym = s_full[:, None] * g_sym + s_half[:, None] * g_half
+        return g_sym, g_asym
+
+    def angle_grads(self):
+        """(d sym / d psi, d asym / d psi) per map, psi the axis angle."""
+        d_sym = self.full.angle_grad()
+        s_full, s_half = self._asym_signs()
+        return d_sym, s_full * d_sym + s_half * self.half.angle_grad()
+
+
+def reflections(w, axes):
+    """The full- and half-resolution mirrors that SymmetryTerms takes."""
+    return BatchReflection(w, axes), BatchReflection(w // 2, axes)
+
+
+def dpsi_dn(n):
+    """Gradient of the axis angle psi = atan2(n_y, n_x) w.r.t. each normal
+    of a stack (B, 3); zero rows where the axis falls back to (1, 0)."""
+    planar_sq = n[:, 0] ** 2 + n[:, 1] ** 2
+    out = np.zeros_like(n)
+    good = planar_sq > 1e-12
+    out[good, 0] = -n[good, 1] / planar_sq[good]
+    out[good, 1] = n[good, 0] / planar_sq[good]
+    return out
+
+
+def _residual(D: ObservationMap, n) -> MirrorResidual:
+    """MirrorResidual of one map about the normal's axis: a stack of one."""
+    axes = axis_from_normal(n)[None]
+    return MirrorResidual(D.values.reshape(1, -1), BatchReflection(D.width, axes))
+
+
+def _terms(D: ObservationMap, n, weights) -> SymmetryTerms:
+    """SymmetryTerms of one map about the normal's axis: a stack of one."""
+    axes = axis_from_normal(n)[None]
+    return SymmetryTerms(D.values.reshape(1, -1), *reflections(D.width, axes), weights)
 
 
 def sym_loss(D: ObservationMap, n) -> float:
     """L1 difference between a map and its mirror about the normal's axis."""
-    return _sym_sum(D.values, _plan(D.width, n))
+    return float(_residual(D, n).l1[0])
 
 
 def asym_loss(D: ObservationMap, n, weights: LossWeights = DEFAULT_WEIGHTS) -> float:
     """|sym - eta| at full resolution plus lambda_c * |sym - eta| after pooling."""
-    full = _sym_sum(D.values, _plan(D.width, n))
-    pooled = avg_pool(D)
-    pooled_sum = _sym_sum(pooled.values, _plan(pooled.width, n))
-    return abs(full - weights.eta) + weights.lambda_c * abs(pooled_sum - weights.eta)
+    return float(_terms(D, n, weights).asym[0])
 
 
 def _arccos_clamped(n, n_gt):
@@ -106,35 +204,6 @@ def ne_total_loss(n, n_gt, D_gt, weights: LossWeights = DEFAULT_WEIGHTS) -> floa
     )
 
 
-def _sign(x):
-    # Subgradient convention: sign(0) = 0 keeps gradients bounded at ties.
-    return np.sign(x)
-
-
-def _sym_grad_values(values, plan):
-    """Gradient of sum |V - R V| w.r.t. V, with R the bilinear mirror."""
-    s = _sign(values - plan.gather(values))
-    return s - plan.adjoint(s)
-
-
-def _upsample_quarter(grid):
-    """Adjoint of stride-2 average pooling: spread each cell over its block / 4."""
-    h = grid.shape[0]
-    out = np.repeat(np.repeat(grid, 2, axis=0), 2, axis=1)
-    return out / 4.0
-
-
-def _asym_grad_values(D: ObservationMap, n, weights: LossWeights):
-    plan_full = _plan(D.width, n)
-    full = _sym_sum(D.values, plan_full)
-    pooled = avg_pool(D)
-    plan_half = _plan(pooled.width, n)
-    pooled_sum = _sym_sum(pooled.values, plan_half)
-    grad = _sign(full - weights.eta) * _sym_grad_values(D.values, plan_full)
-    grad_pooled = _sign(pooled_sum - weights.eta) * _sym_grad_values(pooled.values, plan_half)
-    return grad + weights.lambda_c * _upsample_quarter(grad_pooled)
-
-
 def grad_map(kind, D: ObservationMap, n=None, D_gt=None, m_s=None,
              weights: LossWeights = DEFAULT_WEIGHTS):
     """Exact gradient of a scalar loss with respect to every cell of D.
@@ -145,9 +214,9 @@ def grad_map(kind, D: ObservationMap, n=None, D_gt=None, m_s=None,
     contributes nothing here).
     """
     if kind == "sym":
-        return _sym_grad_values(D.values, _plan(D.width, n))
+        return _residual(D, n).value_grad().reshape(D.values.shape)
     if kind == "asym":
-        return _asym_grad_values(D, n, weights)
+        return _terms(D, n, weights).value_grads()[1].reshape(D.values.shape)
     if kind == "li_recon":
         if D_gt is None or m_s is None:
             raise ValueError("li_recon gradient needs D_gt and m_s")
@@ -167,21 +236,13 @@ def finite_diff_check(kind, D: ObservationMap, n, h=1e-4, D_gt=None, m_s=None,
     """
     if h <= 0:
         raise ValueError("h must be > 0")
-    if kind == "sym":
-        plan = _plan(D.width, n)
-        loss = lambda v: _sym_sum(v, plan)
-    elif kind == "asym":
-        plan_full = _plan(D.width, n)
-        plan_half = _plan(D.width // 2, n)
-
-        def loss(v):
-            full = _sym_sum(v, plan_full)
-            blocks = v.reshape(D.width // 2, 2, D.width // 2, 2)
-            pooled = blocks.mean(axis=(1, 3))
-            return (
-                abs(full - weights.eta)
-                + weights.lambda_c * abs(_sym_sum(pooled, plan_half) - weights.eta)
-            )
+    if kind in ("sym", "asym"):
+        refl_full, refl_half = reflections(D.width, axis_from_normal(n)[None])
+        if kind == "sym":
+            loss = lambda v: MirrorResidual(v.reshape(1, -1), refl_full).l1[0]
+        else:
+            loss = lambda v: SymmetryTerms(
+                v.reshape(1, -1), refl_full, refl_half, weights).asym[0]
     elif kind == "li_recon":
         ref = D_gt.values
         msk = np.asarray(m_s, dtype=float)
@@ -218,41 +279,12 @@ def sym_loss_normal_grad(D: ObservationMap, n):
     zero-padded bilinear field.  Zero in the degenerate branch where the axis
     falls back to its fixed convention.
     """
-    n = np.asarray(n, dtype=float)
-    planar_sq = n[0] * n[0] + n[1] * n[1]
-    if planar_sq <= 1e-12:
-        return np.zeros(3)
-    plan = _plan(D.width, n)
-    dpsi = _dsym_dpsi(D.values, plan)
-    return dpsi * _dpsi_dn(n, planar_sq)
+    d_sym = _residual(D, n).angle_grad()
+    return (d_sym[:, None] * dpsi_dn(np.asarray(n, dtype=float)[None]))[0]
 
 
 def asym_loss_normal_grad(D: ObservationMap, n, weights: LossWeights = DEFAULT_WEIGHTS):
     """Gradient of asym_loss with respect to the (unit) normal."""
-    n = np.asarray(n, dtype=float)
-    planar_sq = n[0] * n[0] + n[1] * n[1]
-    if planar_sq <= 1e-12:
-        return np.zeros(3)
-    plan_full = _plan(D.width, n)
-    full = _sym_sum(D.values, plan_full)
-    pooled = avg_pool(D)
-    plan_half = _plan(pooled.width, n)
-    pooled_sum = _sym_sum(pooled.values, plan_half)
-    dpsi = (
-        _sign(full - weights.eta) * _dsym_dpsi(D.values, plan_full)
-        + weights.lambda_c
-        * _sign(pooled_sum - weights.eta)
-        * _dsym_dpsi(pooled.values, plan_half)
-    )
-    return dpsi * _dpsi_dn(n, planar_sq)
+    _, d_asym = _terms(D, n, weights).angle_grads()
+    return (d_asym[:, None] * dpsi_dn(np.asarray(n, dtype=float)[None]))[0]
 
-
-def _dsym_dpsi(values, plan: ReflectionPlan):
-    """d/d(axis angle) of sum |V - gather(V)|."""
-    s = _sign(values - plan.gather(values)).ravel()
-    return float(-(s * plan.angle_derivative_of_gather(values)).sum())
-
-
-def _dpsi_dn(n, planar_sq):
-    """Gradient of psi = atan2(n_y, n_x) w.r.t. the normal components."""
-    return np.array([-n[1] / planar_sq, n[0] / planar_sq, 0.0])

@@ -117,15 +117,6 @@ class MlpModel:
             g = gz @ layer.weights
         return param_grads, (g[0] if squeeze else g)
 
-    def parameter_count(self) -> int:
-        return sum(l.weights.size + l.bias.size for l in self.layers)
-
-    def copy(self) -> "MlpModel":
-        return MlpModel([
-            DenseLayer(l.weights.copy(), l.bias.copy(), l.activation)
-            for l in self.layers
-        ])
-
 
 def init_model(dims, activations, rng) -> MlpModel:
     """Glorot-uniform initialization: weights in +-sqrt(6 / (fan_in + fan_out))."""

@@ -42,9 +42,6 @@ class ObservationMap:
     def width(self) -> int:
         return self.values.shape[0]
 
-    def copy(self) -> "ObservationMap":
-        return ObservationMap(self.values.copy(), self.mask.copy())
-
 
 @dataclass
 class PixelSamples:
@@ -163,10 +160,9 @@ def axis_from_normal(n):
     the single-normal call.
     """
     planar = np.asarray(n, dtype=float)[..., :2]
-    # matmul takes the same dot product as np.linalg.norm of one vector.
-    norm = np.sqrt(planar[..., None, :] @ planar[..., :, None])[..., 0]
-    fallback = norm <= 1e-6
-    return np.where(fallback, [1.0, 0.0], planar / np.where(fallback, 1.0, norm))
+    norm = np.linalg.norm(planar, axis=-1)[..., None]
+    good = norm > 1e-6
+    return np.where(good, planar / np.where(good, norm, 1.0), [1.0, 0.0])
 
 
 def _centered_grid(w):
@@ -217,118 +213,29 @@ def mirror_sources(w, axes):
     return cy.astype(np.int64), inside
 
 
-class ReflectionPlan:
-    """Precomputed geometry for mirroring a w x w grid about a center axis.
+class BatchReflection:
+    """Mirror geometry for a stack of w x w maps, one center axis per map.
 
     The reflection matrix R = 2 a a^T - I maps centered cell coordinates to
     their mirror positions; values are read there with bilinear interpolation
-    (zero outside the grid) and masks with nearest neighbor.  The plan also
-    exposes the adjoint of the bilinear read and the derivative of the read
-    with respect to the axis angle, both needed by loss gradients.
-    """
-
-    def __init__(self, w, axis):
-        axis = np.asarray(axis, dtype=float)
-        self.w = w
-        self.axis = axis
-        px, py = _centered_grid(w)
-        # Reflected sample positions in index coordinates.
-        cos2, sin2, self.pos_x, self.pos_y = (
-            a[0] for a in _reflection(w, axis[None]))
-        # Derivative of the position w.r.t. the axis angle psi.
-        self.dpos_x = 2.0 * (-sin2 * px + cos2 * py)
-        self.dpos_y = 2.0 * (cos2 * px + sin2 * py)
-
-        x0 = np.floor(self.pos_x).astype(int)
-        y0 = np.floor(self.pos_y).astype(int)
-        fx = self.pos_x - x0
-        fy = self.pos_y - y0
-        self._corners = []
-        for dy, dx, wgt in (
-            (0, 0, (1 - fx) * (1 - fy)),
-            (0, 1, fx * (1 - fy)),
-            (1, 0, (1 - fx) * fy),
-            (1, 1, fx * fy),
-        ):
-            cy = y0 + dy
-            cx = x0 + dx
-            inside = (cy >= 0) & (cy < w) & (cx >= 0) & (cx < w)
-            self._corners.append((
-                np.clip(cy, 0, w - 1),
-                np.clip(cx, 0, w - 1),
-                np.where(inside, wgt, 0.0),
-                inside,
-            ))
-        self._fx = fx
-        self._fy = fy
-
-    def gather(self, values):
-        """Bilinear read of `values` at the reflected positions -> (w, w)."""
-        out = np.zeros(self.w * self.w)
-        for cy, cx, wgt, _ in self._corners:
-            out += wgt * values[cy, cx]
-        return out.reshape(self.w, self.w)
-
-    def adjoint(self, grid):
-        """Transpose of gather: scatter a grid back through the reflection."""
-        flat = np.asarray(grid, dtype=float).ravel()
-        out = np.zeros((self.w, self.w))
-        for cy, cx, wgt, _ in self._corners:
-            np.add.at(out, (cy, cx), wgt * flat)
-        return out
-
-    def gather_nearest(self, grid):
-        """Nearest-neighbor read at the reflected positions (used for masks);
-        cells reflected outside the grid read zero."""
-        src, inside = mirror_sources(self.w, self.axis[None])
-        out = np.zeros(self.w * self.w, dtype=grid.dtype)
-        out[inside[0]] = grid.reshape(-1)[src[inside]]
-        return out.reshape(self.w, self.w)
-
-    def position_gradient(self, values):
-        """Spatial gradient of the bilinear read at each reflected position.
-
-        Returns (dB/dx, dB/dy) flat arrays; piecewise constant per cell of the
-        zero-padded bilinear field.  In-bounds corners contribute their true
-        values even where the interpolation weight is exactly zero (sample on
-        a cell edge), so the gradient matches the field, not the weights.
-        """
-        (cy00, cx00, _, in00), (cy01, cx01, _, in01), \
-            (cy10, cx10, _, in10), (cy11, cx11, _, in11) = self._corners
-        v00 = np.where(in00, values[cy00, cx00], 0.0)
-        v01 = np.where(in01, values[cy01, cx01], 0.0)
-        v10 = np.where(in10, values[cy10, cx10], 0.0)
-        v11 = np.where(in11, values[cy11, cx11], 0.0)
-        dbdx = (1 - self._fy) * (v01 - v00) + self._fy * (v11 - v10)
-        dbdy = (1 - self._fx) * (v10 - v00) + self._fx * (v11 - v01)
-        return dbdx, dbdy
-
-    def angle_derivative_of_gather(self, values):
-        """d(gather)/d(axis angle) at each cell, flattened."""
-        dbdx, dbdy = self.position_gradient(values)
-        return dbdx * self.dpos_x + dbdy * self.dpos_y
-
-
-class BatchReflection:
-    """Mirror geometry for a batch of maps with one axis per row.
-
-    Equivalent to one ReflectionPlan per sample but built and applied with
-    whole-batch array operations; used by the training loop where per-sample
-    plan construction dominates.  values arguments have shape (B, w*w).
+    (zero outside the grid) and masks with nearest neighbor.  The adjoint of
+    the bilinear read and its derivative with respect to the axis angle serve
+    the loss gradients.  Maps are passed flattened, shape (B, w*w).
     """
 
     def __init__(self, w, axes):
-        axes = np.asarray(axes, dtype=float)
         self.w = w
-        self.batch = axes.shape[0]
+        self.axes = np.asarray(axes, dtype=float)
+        self.batch = self.axes.shape[0]
         px, py = _centered_grid(w)
-        cos2, sin2, pos_x, pos_y = _reflection(w, axes)   # pos: (B, w*w)
+        cos2, sin2, self.pos_x, self.pos_y = _reflection(w, self.axes)
+        # Derivative of the position w.r.t. the axis angle psi.
         self.dpos_x = 2.0 * (-sin2 * px + cos2 * py)
         self.dpos_y = 2.0 * (cos2 * px + sin2 * py)
-        x0 = np.floor(pos_x).astype(np.int64)
-        y0 = np.floor(pos_y).astype(np.int64)
-        fx = pos_x - x0
-        fy = pos_y - y0
+        x0 = np.floor(self.pos_x).astype(np.int64)
+        y0 = np.floor(self.pos_y).astype(np.int64)
+        fx = self.pos_x - x0
+        fy = self.pos_y - y0
         base = (np.arange(self.batch, dtype=np.int64) * (w * w))[:, None]
         self._idx = []
         self._wgt = []
@@ -350,6 +257,7 @@ class BatchReflection:
         self._fy = fy
 
     def gather(self, values):
+        """Bilinear read of each map at its reflected positions."""
         flat = values.reshape(-1)
         out = np.zeros((self.batch, self.w * self.w))
         for idx, wgt in zip(self._idx, self._wgt):
@@ -357,6 +265,7 @@ class BatchReflection:
         return out
 
     def adjoint(self, grids):
+        """Transpose of gather: scatter each grid back through its reflection."""
         size = self.batch * self.w * self.w
         flat_out = np.zeros(size)
         for idx, wgt in zip(self._idx, self._wgt):
@@ -364,7 +273,22 @@ class BatchReflection:
                                     minlength=size)
         return flat_out.reshape(self.batch, self.w * self.w)
 
+    def gather_nearest(self, grids):
+        """Nearest-neighbor read at the reflected positions (used for masks);
+        cells reflected outside the grid read zero."""
+        src, inside = mirror_sources(self.w, self.axes)
+        out = np.zeros(src.shape, dtype=grids.dtype)
+        out[inside] = grids.reshape(-1)[src[inside]]
+        return out
+
     def angle_derivative_of_gather(self, values):
+        """d(gather)/d(axis angle) at each cell.
+
+        Uses the spatial gradient of the zero-padded bilinear field, piecewise
+        constant per cell.  In-bounds corners contribute their true values
+        even where the interpolation weight is exactly zero (sample on a cell
+        edge), so the gradient matches the field, not the weights.
+        """
         flat = values.reshape(-1)
         corners = [np.where(inside, flat.take(idx), 0.0)
                    for idx, inside in zip(self._idx, self._inside)]
@@ -374,16 +298,34 @@ class BatchReflection:
         return dbdx * self.dpos_x + dbdy * self.dpos_y
 
 
-def batch_axes_from_normals(normals):
-    """axis_from_normal for a stack of normals -> (B, 2)."""
-    normals = np.asarray(normals, dtype=float)
-    planar = normals[:, :2]
-    norms = np.linalg.norm(planar, axis=1)
-    out = np.zeros((normals.shape[0], 2))
-    out[:, 0] = 1.0
-    good = norms > 1e-6
-    out[good] = planar[good] / norms[good, None]
-    return out
+class ReflectionPlan:
+    """BatchReflection of one map about one axis: (w, w) grids in and out.
+
+    pos_x and pos_y are the reflected index positions of the flattened grid;
+    angle_derivative_of_gather returns a flat (w*w,) array.
+    """
+
+    def __init__(self, w, axis):
+        self.w = w
+        self.axis = np.asarray(axis, dtype=float)
+        self._batch = BatchReflection(w, self.axis[None])
+        self.pos_x = self._batch.pos_x[0]
+        self.pos_y = self._batch.pos_y[0]
+
+    def _one(self, method, grid):
+        return method(np.asarray(grid).reshape(1, -1))[0]
+
+    def gather(self, values):
+        return self._one(self._batch.gather, values).reshape(self.w, self.w)
+
+    def adjoint(self, grid):
+        return self._one(self._batch.adjoint, grid).reshape(self.w, self.w)
+
+    def gather_nearest(self, grid):
+        return self._one(self._batch.gather_nearest, grid).reshape(self.w, self.w)
+
+    def angle_derivative_of_gather(self, values):
+        return self._one(self._batch.angle_derivative_of_gather, values)
 
 
 def mirror(D: ObservationMap, n) -> ObservationMap:

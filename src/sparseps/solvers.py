@@ -25,15 +25,21 @@ from .errors import (
     NormalizationError,
     ShapeError,
 )
-from .geometry import sample_hemisphere_lights
-from .losses import DEFAULT_WEIGHTS, LossWeights, _sign
+from .geometry import normalize_with_flip, sample_hemisphere_lights
+from .losses import (
+    DEFAULT_WEIGHTS,
+    LossWeights,
+    SymmetryTerms,
+    _pool_quarter,
+    _sign,
+    dpsi_dn,
+    reflections,
+)
 from .mlp import AdamState, MlpModel, adam_step, init_model
 from .obsmap import (
-    BatchReflection,
     ObservationMap,
     PixelSamples,
     axis_from_normal,
-    batch_axes_from_normals,
     build_observation_map,
     map_cell_lights,
     mirror_sources,
@@ -76,12 +82,7 @@ def _ls_fit(lights, irradiance_matrix):
     b, _, rank, _ = np.linalg.lstsq(lights, irr, rcond=None)      # (3, m)
     if rank < 3:
         raise DegenerateLightingError("need >= 3 lights spanning 3D")
-    norms = np.linalg.norm(b, axis=0)
-    valid = norms > 0
-    normals = np.zeros((irr.shape[1], 3))
-    normals[valid] = (b[:, valid] / norms[valid]).T
-    flip = normals[:, 2] < 0
-    normals[flip] = -normals[flip]
+    normals, _, norms = normalize_with_flip(b.T)
     return normals, norms
 
 
@@ -217,14 +218,10 @@ def ne_forward(model: MlpModel, S: ObservationMap, D: ObservationMap):
     if S.width != w or D.width != w:
         raise ShapeError(f"model expects {w}x{w} maps")
     x = np.concatenate([S.values.ravel(), D.values.ravel()])
-    u = model.forward(x)
-    norm = float(np.linalg.norm(u))
-    if norm == 0.0:
+    n, _, norms = normalize_with_flip(model.forward(x)[None])
+    if norms[0] == 0.0:
         raise NormalizationError("estimation model produced a zero vector")
-    n = u / norm
-    if n[2] < 0:
-        n = -n
-    return n
+    return n[0]
 
 
 def infer(li: MlpModel, ne: MlpModel, samples: PixelSamples, w: int):
@@ -260,7 +257,11 @@ class TrainConfig:
 
 @dataclass
 class TrainTrace:
-    """Per-step kinds and per-epoch mean losses recorded during training."""
+    """Per-step kinds and per-epoch mean losses recorded during training.
+
+    An epoch with no step of a kind (a short epoch can end before its first
+    f step) records NaN as that kind's mean.
+    """
 
     step_kinds: List[str] = field(default_factory=list)
     ne_epoch_mean: List[float] = field(default_factory=list)
@@ -287,34 +288,18 @@ class _Prepared:
         self.n_gt = np.stack([np.asarray(n, dtype=float) for _, n, _ in dataset])
         self.d_gt = [d for _, _, d in dataset]
         self.d_gt_flat = np.stack([d.values.ravel() for d in self.d_gt])
-        half = w // 2
-        self.d_gt_pooled_flat = self.d_gt_flat.reshape(
-            -1, half, 2, half, 2).mean(axis=(2, 4)).reshape(-1, half * half)
-        self.gt_axes = batch_axes_from_normals(self.n_gt)
+        self.d_gt_pooled_flat = _pool_quarter(self.d_gt_flat, w)
+        self.gt_axes = axis_from_normal(self.n_gt)
         self.w = w
         self.count = len(dataset)
 
 
-def _normalize_with_flip(u):
-    norm = float(np.linalg.norm(u))
-    if norm == 0.0:
-        raise NormalizationError("zero raw normal during training")
-    n = u / norm
-    flip = 1.0
-    if n[2] < 0:
-        n = -n
-        flip = -1.0
-    return n, flip, norm
-
-
-def _normalize_batch_with_flip(u):
-    """Row-wise normalize + upper-hemisphere flip; returns (n, flip, norms)."""
-    norms = np.linalg.norm(u, axis=1)
+def _normalize_training(u):
+    """normalize_with_flip for raw training normals, which must not vanish."""
+    n, flip, norms = normalize_with_flip(u)
     if np.any(norms == 0.0):
         raise NormalizationError("zero raw normal during training")
-    n = u / norms[:, None]
-    flip = np.where(n[:, 2] < 0, -1.0, 1.0)
-    return n * flip[:, None], flip, norms
+    return n, flip, norms
 
 
 def _recon_terms_batch(n, n_gt):
@@ -327,16 +312,6 @@ def _recon_terms_batch(n, n_gt):
     good = norm_e >= 1e-12
     grad[good] = -e[good] / norm_e[good, None]
     return angles, grad
-
-
-def _dpsi_dn_batch(n):
-    """Gradient of the axis angle w.r.t. each normal; zero when degenerate."""
-    planar_sq = n[:, 0] ** 2 + n[:, 1] ** 2
-    out = np.zeros_like(n)
-    good = planar_sq > 1e-12
-    out[good, 0] = -n[good, 1] / planar_sq[good]
-    out[good, 1] = n[good, 0] / planar_sq[good]
-    return out
 
 
 def ne_objective_and_grads(li: MlpModel, ne: MlpModel, prep: _Prepared, idx,
@@ -353,46 +328,22 @@ def ne_objective_and_grads(li: MlpModel, ne: MlpModel, prep: _Prepared, idx,
     x_ne = np.concatenate([prep.s_flat[idx], d_flat], axis=1)
     u, cache = ne.forward_trace(x_ne)
     batch = len(idx)
-    n, flip, norms = _normalize_batch_with_flip(u)
+    n, flip, norms = _normalize_training(u)
     n_gt = prep.n_gt[idx]
     angles, recon_g = _recon_terms_batch(n, n_gt)
 
-    w = prep.w
-    axes = batch_axes_from_normals(n)
-    refl_full = BatchReflection(w, axes)
-    refl_half = BatchReflection(w // 2, axes)
-    v_full = prep.d_gt_flat[idx]
-    v_half = prep.d_gt_pooled_flat[idx]
-    diff_full = v_full - refl_full.gather(v_full)
-    diff_half = v_half - refl_half.gather(v_half)
-    sym = np.abs(diff_full).sum(axis=1)
-    half = np.abs(diff_half).sum(axis=1)
-    asym = np.abs(sym - weights.eta) + weights.lambda_c * np.abs(half - weights.eta)
-    dfull_dpsi = -(
-        _sign(diff_full) * refl_full.angle_derivative_of_gather(v_full)
-    ).sum(axis=1)
-    dhalf_dpsi = -(
-        _sign(diff_half) * refl_half.angle_derivative_of_gather(v_half)
-    ).sum(axis=1)
-    dpsi = (
-        weights.lambda_s * dfull_dpsi
-        + weights.lambda_a * (_sign(sym - weights.eta) * dfull_dpsi
-                              + weights.lambda_c
-                              * _sign(half - weights.eta) * dhalf_dpsi)
-    )
-    g_n = dpsi[:, None] * _dpsi_dn_batch(n)
+    refl = reflections(prep.w, axis_from_normal(n))
+    terms = SymmetryTerms(prep.d_gt_flat[idx], *refl, weights,
+                          pooled=prep.d_gt_pooled_flat[idx])
+    d_sym, d_asym = terms.angle_grads()
+    dpsi = weights.lambda_s * d_sym + weights.lambda_a * d_asym
+    g_n = dpsi[:, None] * dpsi_dn(n)
     g_tan = g_n - n * np.sum(n * g_n, axis=1)[:, None] + recon_g
     grad_u = flip[:, None] * g_tan / norms[:, None]
-    total = float(np.mean(angles + weights.lambda_s * sym
-                          + weights.lambda_a * asym))
+    total = float(np.mean(angles + weights.lambda_s * terms.sym
+                          + weights.lambda_a * terms.asym))
     param_grads, _ = ne.backward(cache, grad_u / batch)
     return total, param_grads
-
-
-def _upsample_quarter_batch(grids, half):
-    out = grids.reshape(-1, half, half)
-    out = np.repeat(np.repeat(out, 2, axis=1), 2, axis=2) / 4.0
-    return out.reshape(grids.shape[0], -1)
 
 
 def li_objective_and_grads(li: MlpModel, ne: MlpModel, prep: _Prepared, idx,
@@ -407,44 +358,26 @@ def li_objective_and_grads(li: MlpModel, ne: MlpModel, prep: _Prepared, idx,
     d_flat, cache_li = li.forward_trace(x_li)
     x_ne = np.concatenate([prep.s_flat[idx], d_flat], axis=1)
     u, cache_ne = ne.forward_trace(x_ne)
-    n, flip, norms = _normalize_batch_with_flip(u)
+    n, flip, norms = _normalize_training(u)
     n_gt = prep.n_gt[idx]
     angles, recon_g = _recon_terms_batch(n, n_gt)
     grad_u = flip[:, None] * recon_g / norms[:, None]
 
     batch = len(idx)
     w = prep.w
-    half_w = w // 2
     diff = d_flat - prep.d_gt_flat[idx]
     m_s = prep.m_flat[idx]
     l1 = np.abs(diff).sum(axis=1)
     masked = np.abs(m_s * diff).sum(axis=1)
 
-    axes = prep.gt_axes[idx]
-    refl_full = BatchReflection(w, axes)
-    refl_half = BatchReflection(half_w, axes)
-    pooled = d_flat.reshape(-1, half_w, 2, half_w, 2).mean(axis=(2, 4))
-    pooled = pooled.reshape(batch, half_w * half_w)
-    diff_full = d_flat - refl_full.gather(d_flat)
-    diff_half = pooled - refl_half.gather(pooled)
-    sym = np.abs(diff_full).sum(axis=1)
-    half = np.abs(diff_half).sum(axis=1)
-    asym = np.abs(sym - weights.eta) + weights.lambda_c * np.abs(half - weights.eta)
-    s_full = _sign(diff_full)
-    g_full = s_full - refl_full.adjoint(s_full)
-    s_half = _sign(diff_half)
-    g_half = s_half - refl_half.adjoint(s_half)
-    g_asym = (
-        _sign(sym - weights.eta)[:, None] * g_full
-        + weights.lambda_c * _sign(half - weights.eta)[:, None]
-        * _upsample_quarter_batch(g_half, half_w)
-    )
+    terms = SymmetryTerms(d_flat, *reflections(w, prep.gt_axes[idx]), weights)
+    g_sym, g_asym = terms.value_grads()
     s = _sign(diff)
-    grad_d = s + m_s * s + weights.lambda_s * g_full + weights.lambda_a * g_asym
+    grad_d = s + m_s * s + weights.lambda_s * g_sym + weights.lambda_a * g_asym
     _, grad_x_ne = ne.backward(cache_ne, grad_u, want_param_grads=False)
     grad_d = grad_d + grad_x_ne[:, w * w:]
-    total = float(np.mean(angles + l1 + masked + weights.lambda_s * sym
-                          + weights.lambda_a * asym))
+    total = float(np.mean(angles + l1 + masked + weights.lambda_s * terms.sym
+                          + weights.lambda_a * terms.asym))
     param_grads, _ = li.backward(cache_li, grad_d / batch)
     return total, param_grads
 
@@ -457,11 +390,10 @@ def ne_objective(li, ne, prep, idx, weights=DEFAULT_WEIGHTS):
     x_li = np.concatenate([prep.s_flat[idx], prep.m_flat[idx]], axis=1)
     d_flat = li.forward(x_li)
     x_ne = np.concatenate([prep.s_flat[idx], d_flat], axis=1)
-    u = ne.forward(x_ne)
+    n, _, _ = _normalize_training(ne.forward(x_ne))
     total = 0.0
     for j, i in enumerate(idx):
-        n, _, _ = _normalize_with_flip(u[j])
-        total += ne_total_loss(n, prep.n_gt[i], prep.d_gt[i], weights)
+        total += ne_total_loss(n[j], prep.n_gt[i], prep.d_gt[i], weights)
     return total / len(idx)
 
 
@@ -473,15 +405,14 @@ def li_objective(li, ne, prep, idx, weights=DEFAULT_WEIGHTS):
     x_li = np.concatenate([prep.s_flat[idx], prep.m_flat[idx]], axis=1)
     d_flat = li.forward(x_li)
     x_ne = np.concatenate([prep.s_flat[idx], d_flat], axis=1)
-    u = ne.forward(x_ne)
+    n, _, _ = _normalize_training(ne.forward(x_ne))
     w = prep.w
     total = 0.0
     for j, i in enumerate(idx):
-        n, _, _ = _normalize_with_flip(u[j])
         pred = ObservationMap(d_flat[j].reshape(w, w),
                               np.ones((w, w), np.uint8))
         m_s = prep.m_flat[i].reshape(w, w)
-        total += li_total_loss(n, prep.n_gt[i], pred, prep.d_gt[i], m_s, weights)
+        total += li_total_loss(n[j], prep.n_gt[i], pred, prep.d_gt[i], m_s, weights)
     return total / len(idx)
 
 

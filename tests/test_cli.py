@@ -156,6 +156,21 @@ class TestTrainCommand:
         assert (out / "ne.spln").exists()
         assert "ne_steps=" in (out / "trace.txt").read_text()
 
+    def test_epoch_without_f_step_prints_dash(self, tmp_path, capsys):
+        # Three steps an epoch: the first f step is step 5, in epoch 1.
+        out = tmp_path / "model"
+        status = run("train", "--points", 300, "--epochs", 2, "--seed", 5,
+                     "--out", out)
+        assert status == 0
+        stdout = capsys.readouterr().out
+        trace = (out / "trace.txt").read_text()
+        for text in (stdout, trace):
+            assert "nan" not in text.lower()
+            lines = [l for l in text.splitlines() if l.startswith("epoch ")]
+            assert len(lines) == 2
+            assert lines[0].startswith("epoch 0 ne ") and lines[0].endswith(" li -")
+            assert " li -" not in lines[1]
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):

@@ -8,8 +8,10 @@ from sparseps.fileio import read_pgm
 from sparseps.geometry import fibonacci_hemisphere, normalize
 from helpers import reference_observation_map
 from sparseps.obsmap import (
+    BatchReflection,
     ObservationMap,
     PixelSamples,
+    ReflectionPlan,
     avg_pool,
     axis_from_normal,
     build_observation_map,
@@ -181,7 +183,7 @@ class TestAxisFromNormal:
         np.testing.assert_array_equal(stacked[:3], [[1.0, 0.0]] * 3)
         # The stack path must not round the single-vector norm differently.
         for n, axis in zip(normals[3:], single[3:]):
-            np.testing.assert_array_equal(axis, n[:2] / np.linalg.norm(n[:2]))
+            np.testing.assert_array_equal(axis, n[:2] / np.linalg.norm(n[:2], axis=-1))
 
 
 class TestMirror:
@@ -226,6 +228,38 @@ class TestMirror:
             n = normalize(np.append(rng.normal(size=2), abs(rng.normal()) + 0.2))
             out = mirror(obs, n)
             assert out.values.sum() == pytest.approx(values.sum(), rel=0.01)
+
+
+class TestBatchReflection:
+    """A stack of axes gives what one batch-of-one plan per axis gives."""
+
+    @staticmethod
+    def axes(rng):
+        normals = rng.normal(size=(12, 3))
+        normals[:, 2] = np.abs(normals[:, 2]) + 0.1
+        normals[:6, :2] = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0],
+                           [1.0, 1.0], [0.0, 0.0]]
+        normals[6, :2] = [1e-8, -1e-8]        # within 1e-6 of z: the fallback
+        return axis_from_normal(normals)
+
+    @pytest.mark.parametrize("method", ["gather", "adjoint",
+                                        "angle_derivative_of_gather",
+                                        "gather_nearest"])
+    @pytest.mark.parametrize("w", [8, 16, 32])
+    def test_stack_equals_single_plans_bit_for_bit(self, w, method):
+        rng = np.random.default_rng(w)
+        axes = self.axes(rng)
+        np.testing.assert_array_equal(axes[5:7], [[1.0, 0.0]] * 2)
+        if method == "gather_nearest":
+            grids = (rng.uniform(size=(len(axes), w * w)) < 0.5).astype(np.uint8)
+        else:
+            grids = rng.uniform(size=(len(axes), w * w))
+        stacked = getattr(BatchReflection(w, axes), method)(grids)
+        single = np.stack([
+            getattr(ReflectionPlan(w, a), method)(g.reshape(w, w)).ravel()
+            for a, g in zip(axes, grids)])
+        assert stacked.dtype == single.dtype
+        np.testing.assert_array_equal(stacked, single)
 
 
 class TestAvgPool:

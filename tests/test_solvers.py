@@ -11,6 +11,7 @@ from sparseps.errors import (
     ShapeError,
 )
 from sparseps.geometry import normalize, sample_hemisphere_lights
+from sparseps.losses import LossWeights
 from sparseps.mlp import DenseLayer, MlpModel, load_model, save_model
 from sparseps.obsmap import (
     ObservationMap,
@@ -302,6 +303,20 @@ class TestPipelineGradients:
         _, grads = ne_objective_and_grads(li, ne, prep, idx)
         worst = self._fd_worst(ne, lambda: ne_objective(li, ne, prep, idx), grads)
         assert worst <= 1e-3
+
+    @pytest.mark.parametrize("weights", [LossWeights(),
+                                         LossWeights(lambda_s=1.0, lambda_a=1.0)])
+    @pytest.mark.parametrize("batched,per_sample", [
+        (ne_objective_and_grads, ne_objective),
+        (li_objective_and_grads, li_objective),
+    ])
+    @pytest.mark.parametrize("w", [4, 8, 16])
+    def test_batched_loss_equals_per_sample(self, w, batched, per_sample, weights):
+        prep, li, ne = self._miniature(w, seed=25)
+        idx = np.arange(prep.count)
+        loss, _ = batched(li, ne, prep, idx, weights)
+        assert loss == pytest.approx(per_sample(li, ne, prep, idx, weights),
+                                     rel=1e-12, abs=0.0)
 
     def test_full_pipeline_gradients_w8(self):
         prep, li, ne = self._miniature(8, seed=23)
