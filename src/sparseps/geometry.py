@@ -133,16 +133,27 @@ def save_lights(path, lights):
 
 
 def load_lights(path):
-    """Read a light list written by save_lights; rows are renormalized."""
+    """Read a light list written by save_lights; rows are renormalized.
+
+    Raises ValueError naming the line of a row that has no finite, nonzero
+    length, since it names no direction.
+    """
     rows = []
+    numbers = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             rows.append([float(tok) for tok in line.split()])
+            numbers.append(number)
     lights = np.asarray(rows, dtype=float)
     if lights.ndim != 2 or lights.shape[1] != 3:
         raise ValueError(f"malformed light list in {path}")
     norms = np.linalg.norm(lights, axis=1, keepdims=True)
+    bad = ~(np.isfinite(norms) & (norms > 0.0))[:, 0]
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise ValueError(f"{path}: line {numbers[first]}: light {rows[first]} "
+                         "has no finite, nonzero length")
     return lights / norms

@@ -151,7 +151,14 @@ class AdamState:
 
 def adam_step(model: MlpModel, grads, state: AdamState, lr,
               beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam update in place; grads is the list produced by backward."""
+    """One Adam update in place; grads is the list produced by backward.
+
+    Computes param -= lr * (m / c1) / (sqrt(v / c2) + eps), with c1, c2 the
+    bias corrections, in place through two buffers per parameter made for
+    the call; each product and quotient is the one the textbook expression
+    evaluates, in the same order, so parameters carry the same bits as
+    without the buffers.
+    """
     state.step += 1
     t = state.step
     correct1 = 1.0 - beta1 ** t
@@ -161,13 +168,20 @@ def adam_step(model: MlpModel, grads, state: AdamState, lr,
                                            (layer.bias, grads[i][1]))):
             m = state.m[i][j]
             v = state.v[i][j]
+            a = grad * (1.0 - beta1)
             m *= beta1
-            m += (1.0 - beta1) * grad
+            m += a
             v *= beta2
-            v += (1.0 - beta2) * grad * grad
-            m_hat = m / correct1
-            v_hat = v / correct2
-            param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            np.multiply(grad, 1.0 - beta2, out=a)
+            a *= grad
+            v += a
+            np.divide(v, correct2, out=a)
+            np.sqrt(a, out=a)
+            a += eps
+            b = m / correct1
+            b *= lr
+            b /= a
+            param -= b
 
 
 def save_model(model: MlpModel, path):
@@ -184,21 +198,39 @@ def save_model(model: MlpModel, path):
 
 
 def load_model(path) -> MlpModel:
-    """Read a checkpoint written by save_model."""
+    """Read a checkpoint written by save_model.
+
+    Raises ValueError naming the file when it is not a checkpoint, is
+    truncated or has an unknown activation code.
+    """
     with open(path, "rb") as fh:
-        if fh.read(4) != MODEL_MAGIC:
-            raise ValueError(f"{path}: bad checkpoint magic")
-        version, n_layers = struct.unpack("<II", fh.read(8))
-        if version != MODEL_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        layers = []
-        for _ in range(n_layers):
-            rows, cols, code = struct.unpack("<IIB", fh.read(9))
-            weights = np.frombuffer(fh.read(4 * rows * cols), dtype="<f4")
-            bias = np.frombuffer(fh.read(4 * rows), dtype="<f4")
-            layers.append(DenseLayer(
-                weights.reshape(rows, cols).astype(float),
-                bias.astype(float),
-                _ACTIVATION_NAMES[code],
-            ))
+        data = fh.read()
+    if data[:4] != MODEL_MAGIC:
+        raise ValueError(f"{path}: bad checkpoint magic")
+    pos = 4
+
+    def take(size, what):
+        nonlocal pos
+        if size > len(data) - pos:
+            raise ValueError(f"{path}: truncated checkpoint, {what} needs "
+                             f"{size} bytes and {len(data) - pos} are left")
+        pos += size
+        return data[pos - size:pos]
+
+    version, n_layers = struct.unpack("<II", take(8, "the header"))
+    if version != MODEL_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    layers = []
+    for k in range(n_layers):
+        rows, cols, code = struct.unpack("<IIB", take(9, f"layer {k}'s shape"))
+        if code not in _ACTIVATION_NAMES:
+            raise ValueError(f"{path}: layer {k} has unknown activation code {code}")
+        weights = np.frombuffer(take(4 * rows * cols, f"layer {k}'s weights"),
+                                dtype="<f4")
+        bias = np.frombuffer(take(4 * rows, f"layer {k}'s bias"), dtype="<f4")
+        layers.append(DenseLayer(
+            weights.reshape(rows, cols).astype(float),
+            bias.astype(float),
+            _ACTIVATION_NAMES[code],
+        ))
     return MlpModel(layers)

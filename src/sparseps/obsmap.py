@@ -95,6 +95,23 @@ def _project_lights(lights, w):
     return row * w + col
 
 
+def _average_cells(cell, irradiance, size):
+    """Average samples into `size` cells by flat cell index.
+
+    irradiance has one row per sample, (k,) or (k, m); each cell sums its
+    samples in sample order and is divided by their count.  Returns
+    (values (size,) or (size, m), counts (size,)); empty cells hold 0.
+    """
+    if not (np.isfinite(irradiance).all() and (irradiance >= 0).all()):
+        raise ValueError("irradiance must be finite and nonnegative")
+    values = np.zeros((size,) + irradiance.shape[1:])
+    np.add.at(values, cell, irradiance)
+    counts = np.bincount(cell, minlength=size)
+    # Empty cells hold 0 / 1 = 0.
+    values /= np.maximum(counts, 1).reshape((size,) + (1,) * (irradiance.ndim - 1))
+    return values, counts
+
+
 def build_observation_maps(lights, irradiance_matrix, w):
     """Scatter the samples of many points sharing one light set into w x w maps.
 
@@ -106,19 +123,35 @@ def build_observation_maps(lights, irradiance_matrix, w):
     columns, whose maps stay zero.
     """
     irr = np.asarray(irradiance_matrix, dtype=float)
-    if not (np.isfinite(irr).all() and (irr >= 0).all()):
-        raise ValueError("irradiance must be finite and nonnegative")
-    cell = _project_lights(lights, w)
-    counts = np.bincount(cell, minlength=w * w)
+    values, counts = _average_cells(_project_lights(lights, w), irr, w * w)
     peak = irr.max(axis=0)
     ok = peak > 0.0
-    values = np.zeros((w * w, irr.shape[1]))
-    np.add.at(values, cell, irr)
-    # Empty cells hold 0 / 1 / peak = 0.
-    values /= np.maximum(counts, 1)[:, None]
     values /= np.where(ok, peak, 1.0)
     mask = (counts > 0).astype(np.uint8).reshape(w, w)
     return values.T.reshape(-1, w, w), mask, ok
+
+
+def build_sample_maps(samples, w):
+    """Maps of many points, each with its own lights, built in one scatter.
+
+    samples is a sequence of PixelSamples, whose light counts may differ.
+    Every value carries the bits build_observation_map gives its point.
+    Returns (values, mask), each (len(samples), w*w) float: the maps
+    flattened row by row and their occupancy as 0/1.  Raises
+    DegenerateSamplesError when a point's irradiance is all zero.
+    """
+    sizes = [len(s) for s in samples]
+    irr = np.concatenate([s.irradiance for s in samples])
+    cell = _project_lights(np.concatenate([s.lights for s in samples]), w)
+    cell += np.repeat(np.arange(len(samples)) * (w * w), sizes)
+    values, counts = _average_cells(cell, irr, len(samples) * w * w)
+    peak = np.maximum.reduceat(irr, np.cumsum([0] + sizes[:-1]))
+    if not (peak > 0.0).all():
+        raise DegenerateSamplesError(
+            f"sample {np.argmin(peak > 0.0)}: all sample irradiance values are zero")
+    values = values.reshape(len(samples), w * w)
+    values /= peak[:, None]
+    return values, (counts > 0).astype(float).reshape(values.shape)
 
 
 def build_observation_map(samples: PixelSamples, w: int) -> ObservationMap:
@@ -221,57 +254,67 @@ class BatchReflection:
     (zero outside the grid) and masks with nearest neighbor.  The adjoint of
     the bilinear read and its derivative with respect to the axis angle serve
     the loss gradients.  Maps are passed flattened, shape (B, w*w).
+
+    Bilinear reads and scatters go through a copy of the stack in which each
+    map has a zero border of pad = ceil((w-1)/2 * (sqrt(2)-1)) + 1 cells
+    (8 at w = 32, 5 at w = 16).  A mirror position lies at most
+    (w-1)/2 * sqrt(2) from the center, so all four corners of every position
+    fall inside the map's own padded block, and corners outside the grid
+    read the border's zeros: nothing is clipped or masked.  The fractions
+    fx, fy come from the unshifted positions (pos - floor(pos)) and the
+    border is added to the integer index only, so every weight and every
+    sum has the bits it has without the border.
     """
 
     def __init__(self, w, axes):
         self.w = w
         self.axes = np.asarray(axes, dtype=float)
         self.batch = self.axes.shape[0]
-        px, py = _centered_grid(w)
-        cos2, sin2, self.pos_x, self.pos_y = _reflection(w, self.axes)
-        # Derivative of the position w.r.t. the axis angle psi.
-        self.dpos_x = 2.0 * (-sin2 * px + cos2 * py)
-        self.dpos_y = 2.0 * (cos2 * px + sin2 * py)
-        x0 = np.floor(self.pos_x).astype(np.int64)
-        y0 = np.floor(self.pos_y).astype(np.int64)
-        fx = self.pos_x - x0
-        fy = self.pos_y - y0
-        base = (np.arange(self.batch, dtype=np.int64) * (w * w))[:, None]
-        self._idx = []
-        self._wgt = []
-        self._inside = []
-        for dy, dx, wgt in (
-            (0, 0, (1 - fx) * (1 - fy)),
-            (0, 1, fx * (1 - fy)),
-            (1, 0, (1 - fx) * fy),
-            (1, 1, fx * fy),
-        ):
-            cy = y0 + dy
-            cx = x0 + dx
-            inside = (cy >= 0) & (cy < w) & (cx >= 0) & (cx < w)
-            flat = base + np.clip(cy, 0, w - 1) * w + np.clip(cx, 0, w - 1)
-            self._idx.append(flat)
-            self._wgt.append(np.where(inside, wgt, 0.0))
-            self._inside.append(inside)
-        self._fx = fx
-        self._fy = fy
+        self.pad = int(np.ceil((w - 1) / 2.0 * (np.sqrt(2.0) - 1.0))) + 1
+        self._side = side = w + 2 * self.pad
+        self._cos2, self._sin2, self.pos_x, self.pos_y = _reflection(w, self.axes)
+        x0 = np.floor(self.pos_x)
+        y0 = np.floor(self.pos_y)
+        self._fx = fx = self.pos_x - x0
+        self._fy = fy = self.pos_y - y0
+        # Padded flat index of each top-left corner; whole numbers, exact in
+        # float64.
+        y0 += self.pad
+        y0 *= side
+        y0 += x0
+        y0 += (np.arange(self.batch) * (side * side) + self.pad)[:, None]
+        base = y0.astype(np.int64)
+        self._gx = gx = 1 - fx
+        self._gy = gy = 1 - fy
+        self._idx = (base, base + 1, base + side, base + (side + 1))
+        self._wgt = (gx * gy, fx * gy, gx * fy, fx * fy)
+
+    def _padded(self, grids):
+        """The stack (B, w*w) with each map inside its zero border, flat."""
+        w, p = self.w, self.pad
+        out = np.zeros((self.batch, self._side, self._side))
+        out[:, p:p + w, p:p + w] = grids.reshape(self.batch, w, w)
+        return out.reshape(-1)
 
     def gather(self, values):
         """Bilinear read of each map at its reflected positions."""
-        flat = values.reshape(-1)
+        flat = self._padded(values)
         out = np.zeros((self.batch, self.w * self.w))
         for idx, wgt in zip(self._idx, self._wgt):
             out += wgt * flat.take(idx)
         return out
 
     def adjoint(self, grids):
-        """Transpose of gather: scatter each grid back through its reflection."""
-        size = self.batch * self.w * self.w
+        """Transpose of gather: scatter each grid back through its reflection
+        into the padded stack, then drop the border."""
+        w, p, side = self.w, self.pad, self._side
+        size = self.batch * side * side
         flat_out = np.zeros(size)
         for idx, wgt in zip(self._idx, self._wgt):
             flat_out += np.bincount(idx.ravel(), weights=(wgt * grids).ravel(),
                                     minlength=size)
-        return flat_out.reshape(self.batch, self.w * self.w)
+        out = flat_out.reshape(self.batch, side, side)[:, p:p + w, p:p + w]
+        return out.reshape(self.batch, w * w)
 
     def gather_nearest(self, grids):
         """Nearest-neighbor read at the reflected positions (used for masks);
@@ -289,13 +332,15 @@ class BatchReflection:
         even where the interpolation weight is exactly zero (sample on a cell
         edge), so the gradient matches the field, not the weights.
         """
-        flat = values.reshape(-1)
-        corners = [np.where(inside, flat.take(idx), 0.0)
-                   for idx, inside in zip(self._idx, self._inside)]
-        v00, v01, v10, v11 = corners
-        dbdx = (1 - self._fy) * (v01 - v00) + self._fy * (v11 - v10)
-        dbdy = (1 - self._fx) * (v10 - v00) + self._fx * (v11 - v01)
-        return dbdx * self.dpos_x + dbdy * self.dpos_y
+        flat = self._padded(values)
+        v00, v01, v10, v11 = (flat.take(idx) for idx in self._idx)
+        dbdx = self._gy * (v01 - v00) + self._fy * (v11 - v10)
+        dbdy = self._gx * (v10 - v00) + self._fx * (v11 - v01)
+        # Derivative of the position w.r.t. the axis angle psi.
+        px, py = _centered_grid(self.w)
+        dpos_x = 2.0 * (-self._sin2 * px + self._cos2 * py)
+        dpos_y = 2.0 * (self._cos2 * px + self._sin2 * py)
+        return dbdx * dpos_x + dbdy * dpos_y
 
 
 class ReflectionPlan:

@@ -41,6 +41,7 @@ from .obsmap import (
     PixelSamples,
     axis_from_normal,
     build_observation_map,
+    build_sample_maps,
     map_cell_lights,
     mirror_sources,
 )
@@ -277,14 +278,16 @@ class TrainTrace:
 
 
 class _Prepared:
-    """Dataset tensors shared by every training step."""
+    """Dataset tensors shared by every training step.
+
+    The sparse maps s_flat and their masks m_flat come from one scatter over
+    all samples (obsmap.build_sample_maps), bit-identical to building each
+    sample's map on its own.
+    """
 
     def __init__(self, dataset, w):
-        s_maps = []
-        for samples, n_gt, d_gt in dataset:
-            s_maps.append(build_observation_map(samples, w))
-        self.s_flat = np.stack([m.values.ravel() for m in s_maps])
-        self.m_flat = np.stack([m.mask.astype(float).ravel() for m in s_maps])
+        self.s_flat, self.m_flat = build_sample_maps(
+            [samples for samples, _, _ in dataset], w)
         self.n_gt = np.stack([np.asarray(n, dtype=float) for _, n, _ in dataset])
         self.d_gt = [d for _, _, d in dataset]
         self.d_gt_flat = np.stack([d.values.ravel() for d in self.d_gt])

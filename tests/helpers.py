@@ -222,3 +222,126 @@ def criterion_8_trial(seed=7, n_lights=10):
     idx = np.random.default_rng(seed).choice(300, size=n_lights, replace=False)
     return (scene.lights[idx], scene.images[idx][:, scene.mask],
             scene.normals[scene.mask])
+
+
+# ---------------------------------------------------------------------------
+# References for the training step
+# ---------------------------------------------------------------------------
+
+class ClippedReflection:
+    """The bilinear mirror with clipped corner indices and masked weights
+    (no zero border): what BatchReflection computed before it read through
+    a zero-bordered copy.  Same (w, axes (B, 2)) signature and methods."""
+
+    def __init__(self, w, axes):
+        self.w = w
+        self.axes = np.asarray(axes, dtype=float)
+        self.batch = batch = self.axes.shape[0]
+        c0 = (w - 1) / 2.0
+        idx = np.arange(w, dtype=float)
+        xs, ys = np.meshgrid(idx - c0, idx - c0)
+        px, py = xs.ravel(), ys.ravel()
+        ax, ay = self.axes[:, 0:1], self.axes[:, 1:2]
+        cos2 = ax * ax - ay * ay
+        sin2 = 2.0 * ax * ay
+        self.pos_x = cos2 * px + sin2 * py + c0
+        self.pos_y = sin2 * px - cos2 * py + c0
+        self.dpos_x = 2.0 * (-sin2 * px + cos2 * py)
+        self.dpos_y = 2.0 * (cos2 * px + sin2 * py)
+        x0 = np.floor(self.pos_x).astype(np.int64)
+        y0 = np.floor(self.pos_y).astype(np.int64)
+        self.fx = self.pos_x - x0
+        self.fy = self.pos_y - y0
+        fx, fy = self.fx, self.fy
+        base = (np.arange(batch, dtype=np.int64) * (w * w))[:, None]
+        self.corners = []            # (flat index, masked weight, inside)
+        for dy, dx, wgt in ((0, 0, (1 - fx) * (1 - fy)), (0, 1, fx * (1 - fy)),
+                            (1, 0, (1 - fx) * fy), (1, 1, fx * fy)):
+            cy, cx = y0 + dy, x0 + dx
+            inside = (cy >= 0) & (cy < w) & (cx >= 0) & (cx < w)
+            flat = base + np.clip(cy, 0, w - 1) * w + np.clip(cx, 0, w - 1)
+            self.corners.append((flat, np.where(inside, wgt, 0.0), inside))
+
+    def gather(self, values):
+        flat = values.reshape(-1)
+        out = np.zeros((self.batch, self.w * self.w))
+        for idx, wgt, _ in self.corners:
+            out += wgt * flat.take(idx)
+        return out
+
+    def adjoint(self, grids):
+        size = self.batch * self.w * self.w
+        out = np.zeros(size)
+        for idx, wgt, _ in self.corners:
+            out += np.bincount(idx.ravel(), weights=(wgt * grids).ravel(),
+                               minlength=size)
+        return out.reshape(self.batch, -1)
+
+    def gather_nearest(self, grids):
+        w = self.w
+        cx = np.rint(self.pos_x).astype(int)
+        cy = np.rint(self.pos_y).astype(int)
+        inside = (cy >= 0) & (cy < w) & (cx >= 0) & (cx < w)
+        src = grids.reshape(self.batch, w, w)
+        rows = np.broadcast_to(np.arange(self.batch)[:, None], cx.shape)
+        out = np.zeros(cx.shape, dtype=grids.dtype)
+        out[inside] = src[rows[inside], cy[inside], cx[inside]]
+        return out
+
+    def angle_derivative_of_gather(self, values):
+        flat = values.reshape(-1)
+        v00, v01, v10, v11 = (np.where(inside, flat.take(idx), 0.0)
+                              for idx, _, inside in self.corners)
+        dbdx = (1 - self.fy) * (v01 - v00) + self.fy * (v11 - v10)
+        dbdy = (1 - self.fx) * (v10 - v00) + self.fx * (v11 - v01)
+        return dbdx * self.dpos_x + dbdy * self.dpos_y
+
+
+def reference_sample_maps(samples, w):
+    """Training maps built one sample at a time: (values, mask), each
+    (len(samples), w*w) float.  Raises DegenerateSamplesError for an
+    all-zero sample."""
+    from sparseps.errors import DegenerateSamplesError
+
+    values, masks = [], []
+    for s in samples:
+        built = reference_observation_map(s.lights, s.irradiance, w)
+        if built is None:
+            raise DegenerateSamplesError("all sample irradiance values are zero")
+        values.append(built[0].ravel())
+        masks.append(built[1].ravel().astype(float))
+    return np.stack(values), np.stack(masks)
+
+
+def reference_adam_step(model, grads, state, lr, beta1=0.9, beta2=0.999,
+                        eps=1e-8):
+    """Adam written as the textbook expression, with m_hat and v_hat."""
+    state.step += 1
+    correct1 = 1.0 - beta1 ** state.step
+    correct2 = 1.0 - beta2 ** state.step
+    for i, layer in enumerate(model.layers):
+        for j, param in enumerate((layer.weights, layer.bias)):
+            grad, m, v = grads[i][j], state.m[i][j], state.v[i][j]
+            m *= beta1
+            m += (1.0 - beta1) * grad
+            v *= beta2
+            v += (1.0 - beta2) * grad * grad
+            m_hat = m / correct1
+            v_hat = v / correct2
+            param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def break_checkpoint(path, case):
+    """Damage a saved checkpoint in one of three ways: cut inside the
+    header ("truncated_header"), give layer 0 activation code 7
+    ("unknown_activation"), or drop the last bytes ("short_payload")."""
+    raw = path.read_bytes()
+    if case == "truncated_header":
+        raw = raw[:10]
+    elif case == "unknown_activation":
+        raw = raw[:20] + b"\x07" + raw[21:]      # 4 magic + 8 header + 8 shape
+    elif case == "short_payload":
+        raw = raw[:-3]
+    else:
+        raise ValueError(f"unknown case {case!r}")
+    path.write_bytes(raw)

@@ -13,6 +13,10 @@ import sparseps
 from sparseps.cli import main
 from sparseps.evaluation import read_report
 from sparseps.fileio import read_pgm, read_pfm
+from sparseps.mlp import save_model
+from sparseps.solvers import new_li_model, new_ne_model
+
+from helpers import break_checkpoint
 
 
 SUBCOMMANDS = ("render", "maps", "train", "eval", "sweep", "inspect")
@@ -92,6 +96,33 @@ class TestEval:
             assert run("eval", "--scene", scene_dir, "--trials", 5,
                        "--seed", 2, "--out", path) == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("case", ["truncated_header", "unknown_activation",
+                                      "short_payload"])
+    def test_broken_checkpoint_exits_one(self, scene_dir, tmp_path, capsys, case):
+        model = tmp_path / "model"
+        model.mkdir()
+        rng = np.random.default_rng(44)
+        save_model(new_li_model(4, rng, hidden=(4,)), model / "li.spln")
+        save_model(new_ne_model(4, rng, hidden=(4,)), model / "ne.spln")
+        break_checkpoint(model / "li.spln", case)
+        status = run("eval", "--scene", scene_dir, "--solver", "trained",
+                     "--model", model, "--w", 4, "--trials", 2,
+                     "--out", tmp_path / "r.txt")
+        assert status == 1
+        assert capsys.readouterr().err.startswith(f"error: {model / 'li.spln'}: ")
+        assert not (tmp_path / "r.txt").exists()
+
+    def test_zero_light_row_exits_one(self, scene_dir, tmp_path, capsys):
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        lines = (scene / "lights.txt").read_text().splitlines()
+        lines[4] = "0 0 0"
+        (scene / "lights.txt").write_text("\n".join(lines) + "\n")
+        status = run("eval", "--scene", scene, "--trials", 2,
+                     "--out", tmp_path / "r.txt")
+        assert status == 1
+        assert "line 5" in capsys.readouterr().err
 
 
 class TestSweep:

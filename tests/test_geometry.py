@@ -154,3 +154,11 @@ class TestLightListIO:
         path = tmp_path / "lights.txt"
         save_lights(path, [[0.0, 0.0, 1.0]])
         assert path.read_text().strip() == "0 0 1"
+
+    @pytest.mark.parametrize("row", ["0 0 0", "nan 0 1", "0 inf 1"])
+    def test_row_without_direction_names_its_line(self, tmp_path, row):
+        path = tmp_path / "lights.txt"
+        path.write_text(f"0 0 1\n\n{row}\n0.6 0 0.8\n")
+        with pytest.raises(ValueError) as exc:
+            load_lights(path)
+        assert str(exc.value).startswith(f"{path}: line 3: ")

@@ -6,7 +6,11 @@ import pytest
 from sparseps.errors import DegenerateSamplesError, HemisphereError
 from sparseps.fileio import read_pgm
 from sparseps.geometry import fibonacci_hemisphere, normalize
-from helpers import reference_observation_map
+from helpers import (
+    ClippedReflection,
+    reference_observation_map,
+    reference_sample_maps,
+)
 from sparseps.obsmap import (
     BatchReflection,
     ObservationMap,
@@ -16,6 +20,7 @@ from sparseps.obsmap import (
     axis_from_normal,
     build_observation_map,
     build_observation_maps,
+    build_sample_maps,
     load_obsm,
     map_cell_lights,
     mirror,
@@ -260,6 +265,104 @@ class TestBatchReflection:
             for a, g in zip(axes, grids)])
         assert stacked.dtype == single.dtype
         np.testing.assert_array_equal(stacked, single)
+
+
+    WIDTHS = [1, 2, 3, 4, 5, 7, 8, 9, 16, 31, 32, 64]
+
+    @staticmethod
+    def angle_axes(degrees):
+        rad = np.radians(degrees)
+        return np.column_stack([np.cos(rad), np.sin(rad)])
+
+    @pytest.mark.parametrize("method", ["gather", "adjoint",
+                                        "angle_derivative_of_gather",
+                                        "gather_nearest"])
+    @pytest.mark.parametrize("w", WIDTHS)
+    def test_matches_clipped_reference_bit_for_bit(self, w, method):
+        # Axis-aligned, the 45-degree diagonals, the 22.5-degree family
+        # (whose mirror positions reach furthest outside the grid), normals
+        # near z (the fallback axis) and random normals.
+        rng = np.random.default_rng(100 + w)
+        normals = rng.normal(size=(24, 3))
+        normals[:, 2] = np.abs(normals[:, 2]) + 0.1
+        normals[:3, :2] = [[1e-8, 0.0], [0.0, -1e-9], [0.0, 0.0]]
+        axes = np.concatenate([self.angle_axes(np.arange(0, 360, 22.5)),
+                               axis_from_normal(normals)])
+        if method == "gather_nearest":
+            grids = (rng.uniform(size=(len(axes), w * w)) < 0.5).astype(np.uint8)
+        elif method == "adjoint":
+            grids = np.sign(rng.normal(size=(len(axes), w * w)))
+            grids[:, ::5] = 0.0
+        else:
+            grids = rng.uniform(size=(len(axes), w * w))
+            grids[:, ::3] = 0.0
+        got = getattr(BatchReflection(w, axes), method)(grids)
+        want = getattr(ClippedReflection(w, axes), method)(grids)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("w,pad", [(1, 1), (2, 2), (16, 5), (32, 8)])
+    def test_border_width(self, w, pad):
+        assert BatchReflection(w, [[1.0, 0.0]]).pad == pad
+
+    def test_corners_stay_in_their_own_padded_block(self):
+        # A border too narrow would not raise: a corner past it reads the
+        # neighbouring map's cells.  So check every corner's block, row and
+        # column, on the 45-degree diagonals and on the 22.5-degree family,
+        # where mirror positions reach (w-1)/2 * sqrt(2) from the center.
+        axes = self.angle_axes(np.arange(0, 360, 22.5))
+        for w in range(1, 65):
+            refl = BatchReflection(w, axes)
+            side = w + 2 * refl.pad
+            for idx, (dy, dx) in zip(refl._idx, [(0, 0), (0, 1), (1, 0), (1, 1)]):
+                block, cell = np.divmod(idx, side * side)
+                row, col = np.divmod(cell, side)
+                np.testing.assert_array_equal(
+                    block, np.broadcast_to(np.arange(len(axes))[:, None], idx.shape))
+                assert (row >= dy).all() and (row < side - 1 + dy).all(), w
+                assert (col >= dx).all() and (col < side - 1 + dx).all(), w
+
+
+class TestBuildSampleMaps:
+    """Training maps, each with its own lights, from one scatter."""
+
+    @staticmethod
+    def samples(rng, counts):
+        out = []
+        for k in counts:
+            lights = fibonacci_hemisphere(64)[rng.choice(64, size=k, replace=False)]
+            out.append(PixelSamples(lights, rng.uniform(0.0, 1.0, size=k)))
+        return out
+
+    def test_matches_per_sample_maps_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        samples = self.samples(rng, [1, 3, 10, 40, 2, 17])
+        # Two lights in one cell: their mean is what the map holds.
+        samples.append(PixelSamples([[0.1, 0.1, 0.99], [0.1001, 0.1001, 0.99],
+                                     [0.5, 0.0, 0.866]], [0.3, 0.7, 0.2]))
+        for w in (4, 8, 32):
+            values, mask = build_sample_maps(samples, w)
+            ref_values, ref_mask = reference_sample_maps(samples, w)
+            assert values.tobytes() == ref_values.tobytes()
+            assert mask.tobytes() == ref_mask.tobytes()
+            for s, v, m in zip(samples, values, mask):
+                one = build_observation_map(s, w)
+                assert v.tobytes() == one.values.ravel().tobytes()
+                np.testing.assert_array_equal(m, one.mask.ravel())
+        values, mask = build_sample_maps(samples, 32)
+        row, col = project_light([0.1, 0.1, 0.99], 32)
+        assert project_light([0.1001, 0.1001, 0.99], 32) == (row, col)
+        assert mask[-1].sum() == 2
+        assert values[-1, row * 32 + col] == (0.3 + 0.7) / 2 / 0.7
+
+    def test_all_zero_sample_raises(self):
+        rng = np.random.default_rng(42)
+        samples = self.samples(rng, [5, 4, 6])
+        samples[1] = PixelSamples(samples[1].lights, np.zeros(4))
+        with pytest.raises(DegenerateSamplesError, match="sample 1"):
+            build_sample_maps(samples, 16)
+        with pytest.raises(DegenerateSamplesError):
+            reference_sample_maps(samples, 16)
 
 
 class TestAvgPool:

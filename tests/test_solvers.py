@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from helpers import criterion_8_trial, reference_inpaint
+from helpers import (
+    break_checkpoint,
+    criterion_8_trial,
+    reference_adam_step,
+    reference_inpaint,
+    reference_sample_maps,
+)
 from sparseps.errors import (
     DegenerateLightingError,
     DegenerateSamplesError,
@@ -12,7 +18,14 @@ from sparseps.errors import (
 )
 from sparseps.geometry import normalize, sample_hemisphere_lights
 from sparseps.losses import LossWeights
-from sparseps.mlp import DenseLayer, MlpModel, load_model, save_model
+from sparseps.mlp import (
+    AdamState,
+    DenseLayer,
+    MlpModel,
+    adam_step,
+    load_model,
+    save_model,
+)
 from sparseps.obsmap import (
     ObservationMap,
     PixelSamples,
@@ -374,6 +387,54 @@ class TestTraining:
         last = [v for v in trace.ne_epoch_mean if np.isfinite(v)][-1]
         assert last < first
 
+    def test_prepared_maps_match_per_sample_reference(self):
+        # Mixed light counts, a shared cell, and byte-equal maps and masks.
+        rng = np.random.default_rng(37)
+        dataset = make_training_set(20, lights_per_point=8, w=16, rng=rng,
+                                    dense_lights=200)
+        for k in (1, 3, 30):
+            lights = sample_hemisphere_lights(k, 75.0, rng)
+            dataset.append((PixelSamples(lights, rng.uniform(0.1, 1.0, k)),
+                            dataset[0][1], dataset[0][2]))
+        lights = [[0.2, 0.2, 0.96], [0.2001, 0.2, 0.96], [-0.5, 0.1, 0.86]]
+        dataset.append((PixelSamples(lights, [0.4, 0.9, 0.1]),
+                        dataset[0][1], dataset[0][2]))
+        prep = _Prepared(dataset, 16)
+        values, mask = reference_sample_maps([s for s, _, _ in dataset], 16)
+        assert prep.s_flat.tobytes() == values.tobytes()
+        assert prep.m_flat.tobytes() == mask.tobytes()
+
+    def test_prepared_rejects_all_zero_sample(self):
+        dataset = self._tiny_dataset(4, 8, seed=38)
+        samples, n, d_gt = dataset[2]
+        dataset[2] = (PixelSamples(samples.lights, np.zeros(len(samples))), n, d_gt)
+        with pytest.raises(DegenerateSamplesError):
+            _Prepared(dataset, 8)
+
+    @pytest.mark.parametrize("make", [new_li_model, new_ne_model])
+    def test_adam_step_matches_textbook_formula(self, make):
+        # Five steps on default-size f and g, each against Adam with its
+        # m_hat and v_hat temporaries, bit for bit.
+        rng = np.random.default_rng(39)
+        model = make(16, rng)
+        reference = MlpModel([DenseLayer(l.weights.copy(), l.bias.copy(),
+                                         l.activation) for l in model.layers])
+        state = AdamState.for_model(model)
+        ref_state = AdamState.for_model(reference)
+        for step in range(5):
+            grads = [(rng.normal(size=l.weights.shape), rng.normal(size=l.bias.shape))
+                     for l in model.layers]
+            grads[0][0][:, ::7] = 0.0
+            lr = 1e-3 * (step + 1)
+            adam_step(model, grads, state, lr, 0.9, 0.999)
+            reference_adam_step(reference, grads, ref_state, lr, 0.9, 0.999)
+            for got, want in zip(model.layers, reference.layers):
+                assert got.weights.tobytes() == want.weights.tobytes()
+                assert got.bias.tobytes() == want.bias.tobytes()
+        for pairs, ref_pairs in ((state.m, ref_state.m), (state.v, ref_state.v)):
+            for got, want in zip(pairs, ref_pairs):
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train_alternating([], TrainConfig())
@@ -405,6 +466,20 @@ class TestInferAndCheckpoints:
             assert a.activation == b.activation
             np.testing.assert_allclose(a.weights, b.weights, atol=1e-6)
             np.testing.assert_allclose(a.bias, b.bias, atol=1e-6)
+
+    @pytest.mark.parametrize("case,message", [
+        ("truncated_header", "truncated checkpoint, the header"),
+        ("unknown_activation", "unknown activation code 7"),
+        ("short_payload", "truncated checkpoint, layer 1's bias"),
+    ])
+    def test_broken_checkpoint_is_value_error_naming_file(self, tmp_path, case,
+                                                           message):
+        path = tmp_path / "model.spln"
+        save_model(new_ne_model(4, np.random.default_rng(40), hidden=(5,)), path)
+        break_checkpoint(path, case)
+        with pytest.raises(ValueError, match=message) as exc:
+            load_model(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
     def test_checkpoint_layout(self, tmp_path):
         model = MlpModel([DenseLayer(np.zeros((2, 3)), np.zeros(2), "relu")])
