@@ -18,7 +18,12 @@ import numpy as np
 from . import fileio
 from .errors import SparsePSError
 from .geometry import angular_error_deg, normalize_with_flip, perturb_light
-from .obsmap import axis_from_normal, build_observation_maps, map_cell_lights
+from .obsmap import (
+    axis_from_normal,
+    build_observation_maps,
+    map_cell_lights,
+    occupied_cells,
+)
 from .render import RenderedScene, inject_cast_shadow
 from .solvers import ls_normal_batch, symmetry_inpaint_maps
 
@@ -95,8 +100,13 @@ class InpaintLsSolver:
 class ModelSolver:
     """Trained interpolation + estimation models applied per pixel.
 
-    The maps of all pixels of a trial are built in one batch and run through
-    the models as one batch.
+    All pixels of a trial share its light set and so its occupied map
+    cells: ten lights fill at most 10 of the 1024 cells of a 32 x 32 map.
+    f reads its sparse values and its mask only there (the mask is 1 there
+    and 0 elsewhere) and g reads the sparse values there plus the whole
+    dense map, so each model's first layer runs on those input columns
+    alone (MlpModel.restrict_inputs) and every pixel of the trial goes
+    through f and g as one batch.
     """
 
     name = "trained"
@@ -109,13 +119,15 @@ class ModelSolver:
     def solve_batch(self, lights, irradiance_matrix):
         m = irradiance_matrix.shape[1]
         normals = np.zeros((m, 3))
-        values, mask, valid = build_observation_maps(lights, irradiance_matrix, self.w)
+        cells, values, valid = occupied_cells(lights, irradiance_matrix, self.w)
         if not valid.any():
             return normals, valid
-        s_flat = values[valid].reshape(-1, self.w * self.w)
-        m_flat = np.broadcast_to(mask.ravel().astype(float), s_flat.shape)
-        d_flat = self.li.forward(np.concatenate([s_flat, m_flat], axis=1))
-        u = self.ne.forward(np.concatenate([s_flat, d_flat], axis=1))
+        size = self.w * self.w
+        s_occ = values[:, valid].T
+        li = self.li.restrict_inputs(np.concatenate([cells, size + cells]))
+        d_flat = li.forward(np.concatenate([s_occ, np.ones_like(s_occ)], axis=1))
+        ne = self.ne.restrict_inputs(np.concatenate([cells, np.arange(size, 2 * size)]))
+        u = ne.forward(np.concatenate([s_occ, d_flat], axis=1))
         normals[valid], _, norms = normalize_with_flip(u)
         valid[valid] = norms > 0
         return normals, valid

@@ -97,11 +97,26 @@ class MlpModel:
             cache.append((z, a))
         return (a[0] if squeeze else a), cache
 
-    def backward(self, cache, grad_out, want_param_grads=True):
+    def restrict_inputs(self, cols):
+        """The model on the input columns `cols` alone.
+
+        The first layer keeps weights[:, cols] and the later layers are
+        shared.  On inputs that are zero outside cols the result computes
+        the same function, without the first layer's products with zeros;
+        its sums skip the zero terms, so outputs may differ in the last ulps.
+        """
+        first = self.layers[0]
+        return MlpModel([DenseLayer(first.weights[:, cols], first.bias,
+                                    first.activation), *self.layers[1:]])
+
+    def backward(self, cache, grad_out, want_param_grads=True,
+                 want_input_grad=True):
         """Backpropagate grad_out (matching forward_trace's output shape).
 
         Returns (param_grads, grad_input) where param_grads is a list of
-        (dW, db) per layer summed over the batch, or None when not requested.
+        (dW, db) per layer summed over the batch, or None when not requested,
+        and grad_input is None when not requested (its product with the
+        first layer's weights is then skipped).
         """
         grad_out = np.asarray(grad_out, dtype=float)
         squeeze = grad_out.ndim == 1
@@ -114,6 +129,8 @@ class MlpModel:
             gz = g * _activation_grad(layer.activation, z, a)
             if want_param_grads:
                 param_grads[i] = (gz.T @ a_prev, gz.sum(axis=0))
+            if i == 0 and not want_input_grad:
+                return param_grads, None
             g = gz @ layer.weights
         return param_grads, (g[0] if squeeze else g)
 

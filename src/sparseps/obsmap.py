@@ -95,63 +95,99 @@ def _project_lights(lights, w):
     return row * w + col
 
 
-def _average_cells(cell, irradiance, size):
-    """Average samples into `size` cells by flat cell index.
+def _cell_means(cell, irradiance, size):
+    """Average samples into the occupied ones of `size` flat cells.
 
     irradiance has one row per sample, (k,) or (k, m); each cell sums its
-    samples in sample order and is divided by their count.  Returns
-    (values (size,) or (size, m), counts (size,)); empty cells hold 0.
+    samples in sample order (bincount adds its weights in input order,
+    from 0) and is divided by their count.  Returns (occupied (n,),
+    means (n,) or (n, m)), occupied in increasing order.  Empty cells,
+    which hold 0 in a map, are not divided.
     """
     if not (np.isfinite(irradiance).all() and (irradiance >= 0).all()):
         raise ValueError("irradiance must be finite and nonnegative")
-    values = np.zeros((size,) + irradiance.shape[1:])
-    np.add.at(values, cell, irradiance)
-    counts = np.bincount(cell, minlength=size)
-    # Empty cells hold 0 / 1 = 0.
-    values /= np.maximum(counts, 1).reshape((size,) + (1,) * (irradiance.ndim - 1))
-    return values, counts
+    if size > 8 * cell.size:
+        # Mostly empty cells, as in one grid per training sample (ten
+        # million cells): sort the samples' cells rather than count every
+        # cell, and sum into the occupied ones only.
+        occupied, cell, counts = np.unique(cell, return_inverse=True,
+                                           return_counts=True)
+        size, keep = occupied.size, slice(None)
+    else:
+        counts = np.bincount(cell, minlength=size)
+        keep = occupied = counts.nonzero()[0]
+        counts = counts[occupied]
+    m = irradiance[0].size
+    if m > 1:
+        cell = (cell[:, None] * m + np.arange(m)).ravel()
+    sums = np.bincount(cell, weights=irradiance.ravel(), minlength=size * m)
+    means = sums.reshape((size,) + irradiance.shape[1:])[keep]
+    means /= counts.reshape((-1,) + (1,) * (irradiance.ndim - 1))
+    return occupied, means
 
 
-def build_observation_maps(lights, irradiance_matrix, w):
-    """Scatter the samples of many points sharing one light set into w x w maps.
+def occupied_cells(lights, irradiance_matrix, w):
+    """The occupied cells of the w x w maps of many points sharing one light
+    set, and each point's value there.
 
-    irradiance_matrix has shape (k, m), one column per point.  Samples landing
-    in the same cell are averaged (summed in light order), then each map is
-    divided by its column's peak so values lie in [0, 1].  Returns
-    (values (m, w, w), mask (w, w) uint8, ok (m,)): the mask marks the
-    occupied cells, the same for every column, and ok is False for all-zero
-    columns, whose maps stay zero.
+    irradiance_matrix has shape (k, m), one column per point.  Every point
+    has the same occupied cells, at most one per light, so ten lights fill
+    at most 10 of 1024 cells of a 32 x 32 map and a consumer that reads only
+    these cells skips the rest, which are zero.  Samples landing in the same
+    cell are averaged (summed in light order), then each column is divided
+    by its peak so values lie in [0, 1].  Returns (cells (n,), values (n, m),
+    ok (m,)): the flat cells row * w + col in increasing order, their values,
+    and ok False for all-zero columns, whose values stay zero.
     """
     irr = np.asarray(irradiance_matrix, dtype=float)
-    values, counts = _average_cells(_project_lights(lights, w), irr, w * w)
+    cells, values = _cell_means(_project_lights(lights, w), irr, w * w)
     peak = irr.max(axis=0)
     ok = peak > 0.0
     values /= np.where(ok, peak, 1.0)
-    mask = (counts > 0).astype(np.uint8).reshape(w, w)
-    return values.T.reshape(-1, w, w), mask, ok
+    return cells, values, ok
+
+
+def build_observation_maps(lights, irradiance_matrix, w):
+    """occupied_cells scattered into dense w x w maps.
+
+    Returns (values (m, w, w), mask (w, w) uint8, ok (m,)): the mask marks
+    the occupied cells, the same for every column, and ok is False for
+    all-zero columns, whose maps stay zero.
+    """
+    cells, sparse, ok = occupied_cells(lights, irradiance_matrix, w)
+    values = np.zeros((sparse.shape[1], w * w))
+    values[:, cells] = sparse.T
+    mask = np.zeros(w * w, dtype=np.uint8)
+    mask[cells] = 1
+    return values.reshape(-1, w, w), mask.reshape(w, w), ok
 
 
 def build_sample_maps(samples, w):
     """Maps of many points, each with its own lights, built in one scatter.
 
     samples is a sequence of PixelSamples, whose light counts may differ.
-    Every value carries the bits build_observation_map gives its point.
-    Returns (values, mask), each (len(samples), w*w) float: the maps
-    flattened row by row and their occupancy as 0/1.  Raises
+    Every value carries the bits build_observation_map gives its point; only
+    the occupied cells, about 1% of them under ten lights, are averaged and
+    divided by the peak.  Returns (values, mask), each (len(samples), w*w)
+    float: the maps flattened row by row and their occupancy as 0/1.  Raises
     DegenerateSamplesError when a point's irradiance is all zero.
     """
     sizes = [len(s) for s in samples]
+    size = w * w
     irr = np.concatenate([s.irradiance for s in samples])
     cell = _project_lights(np.concatenate([s.lights for s in samples]), w)
-    cell += np.repeat(np.arange(len(samples)) * (w * w), sizes)
-    values, counts = _average_cells(cell, irr, len(samples) * w * w)
+    cell += np.repeat(np.arange(len(samples)) * size, sizes)
+    occupied, means = _cell_means(cell, irr, len(samples) * size)
     peak = np.maximum.reduceat(irr, np.cumsum([0] + sizes[:-1]))
     if not (peak > 0.0).all():
         raise DegenerateSamplesError(
             f"sample {np.argmin(peak > 0.0)}: all sample irradiance values are zero")
-    values = values.reshape(len(samples), w * w)
-    values /= peak[:, None]
-    return values, (counts > 0).astype(float).reshape(values.shape)
+    means /= peak[occupied // size]
+    values = np.zeros((len(samples), size))
+    values.reshape(-1)[occupied] = means
+    mask = np.zeros(values.shape)
+    mask.reshape(-1)[occupied] = 1.0
+    return values, mask
 
 
 def build_observation_map(samples: PixelSamples, w: int) -> ObservationMap:

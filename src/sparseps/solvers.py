@@ -345,7 +345,7 @@ def ne_objective_and_grads(li: MlpModel, ne: MlpModel, prep: _Prepared, idx,
     grad_u = flip[:, None] * g_tan / norms[:, None]
     total = float(np.mean(angles + weights.lambda_s * terms.sym
                           + weights.lambda_a * terms.asym))
-    param_grads, _ = ne.backward(cache, grad_u / batch)
+    param_grads, _ = ne.backward(cache, grad_u / batch, want_input_grad=False)
     return total, param_grads
 
 
@@ -381,7 +381,8 @@ def li_objective_and_grads(li: MlpModel, ne: MlpModel, prep: _Prepared, idx,
     grad_d = grad_d + grad_x_ne[:, w * w:]
     total = float(np.mean(angles + l1 + masked + weights.lambda_s * terms.sym
                           + weights.lambda_a * terms.asym))
-    param_grads, _ = li.backward(cache_li, grad_d / batch)
+    param_grads, _ = li.backward(cache_li, grad_d / batch,
+                                 want_input_grad=False)
     return total, param_grads
 
 

@@ -108,6 +108,51 @@ def reference_observation_map(lights, irradiance, w):
     return values, occupied.astype(np.uint8)
 
 
+def _parent_cell_averages(cell, irradiance, size):
+    """Dense cell averages as obsmap computed them before it kept only the
+    occupied cells: every cell summed and divided by max(count, 1)."""
+    if not (np.isfinite(irradiance).all() and (irradiance >= 0).all()):
+        raise ValueError("irradiance must be finite and nonnegative")
+    values = np.zeros((size,) + irradiance.shape[1:])
+    np.add.at(values, cell, irradiance)
+    counts = np.bincount(cell, minlength=size)
+    values /= np.maximum(counts, 1).reshape((size,) + (1,) * (irradiance.ndim - 1))
+    return values, counts
+
+
+def _parent_cells(lights, w):
+    lights = np.asarray(lights, dtype=float)
+    grid = np.floor(w * (lights[:, :2] + 1.0) / 2.0)
+    col, row = np.minimum(np.maximum(grid, 0), w - 1).astype(int).T
+    return row * w + col
+
+
+def parent_observation_maps(lights, irradiance_matrix, w):
+    """build_observation_maps through dense (w*w, m) cell averages, as
+    before the maps were scattered from their occupied cells."""
+    irr = np.asarray(irradiance_matrix, dtype=float)
+    values, counts = _parent_cell_averages(_parent_cells(lights, w), irr, w * w)
+    peak = irr.max(axis=0)
+    ok = peak > 0.0
+    values /= np.where(ok, peak, 1.0)
+    mask = (counts > 0).astype(np.uint8).reshape(w, w)
+    return values.T.reshape(-1, w, w), mask, ok
+
+
+def parent_sample_maps(samples, w):
+    """build_sample_maps dividing every cell of every map, as before only
+    the occupied cells were divided."""
+    sizes = [len(s) for s in samples]
+    irr = np.concatenate([s.irradiance for s in samples])
+    cell = _parent_cells(np.concatenate([s.lights for s in samples]), w)
+    cell += np.repeat(np.arange(len(samples)) * (w * w), sizes)
+    values, counts = _parent_cell_averages(cell, irr, len(samples) * w * w)
+    peak = np.maximum.reduceat(irr, np.cumsum([0] + sizes[:-1]))
+    values = values.reshape(len(samples), w * w)
+    values /= peak[:, None]
+    return values, (counts > 0).astype(float).reshape(values.shape)
+
+
 def reference_inpaint(values, known, n_hint=None, iterations=None,
                       mirror_step=True):
     """One map completed by whole-grid passes: nearest-neighbour mirror about

@@ -8,6 +8,9 @@ from sparseps.fileio import read_pgm
 from sparseps.geometry import fibonacci_hemisphere, normalize
 from helpers import (
     ClippedReflection,
+    criterion_8_trial,
+    parent_observation_maps,
+    parent_sample_maps,
     reference_observation_map,
     reference_sample_maps,
 )
@@ -24,6 +27,7 @@ from sparseps.obsmap import (
     load_obsm,
     map_cell_lights,
     mirror,
+    occupied_cells,
     project_light,
     save_obsm,
     save_pgm,
@@ -135,6 +139,74 @@ class TestBuildObservationMaps:
         irr[0, 0] = -1.0
         with pytest.raises(ValueError):
             build_observation_maps(self.lights, irr, 32)
+
+
+class TestOccupiedCells:
+    """occupied_cells against the per-pixel reference maps, and the dense
+    builders against the parent's dense-average arithmetic, bit for bit."""
+
+    def check(self, lights, irr, w=32):
+        cells, values, ok = occupied_cells(lights, irr, w)
+        assert values.shape == (cells.size, irr.shape[1])
+        assert (np.diff(cells) > 0).all()
+        for p in range(irr.shape[1]):
+            ref = reference_observation_map(lights, irr[:, p], w)
+            if ref is None:
+                assert not ok[p]
+                np.testing.assert_array_equal(values[:, p], 0.0)
+                continue
+            assert ok[p]
+            np.testing.assert_array_equal(cells, np.flatnonzero(ref[1]))
+            assert values[:, p].tobytes() == ref[0].ravel()[cells].tobytes()
+        got = build_observation_maps(lights, irr, w)
+        want = parent_observation_maps(lights, irr, w)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        return cells, values, ok
+
+    def test_shared_cell_and_all_zero_column(self):
+        rng = np.random.default_rng(23)
+        lights = fibonacci_hemisphere(9)
+        # Three lights share the first cell, two others another one.
+        lights = np.vstack([lights, lights[:1], lights[:1],
+                            [[0.1, 0.1, 0.99], [0.1001, 0.1001, 0.99]]])
+        irr = rng.uniform(0.0, 2.0, size=(13, 5))
+        irr[:, 1] = 0.0
+        self.check(lights, irr, 4)             # fewer cells than lights
+        cells, values, ok = self.check(lights, irr)
+        assert cells.size == 10
+        np.testing.assert_array_equal(ok, [True, False, True, True, True])
+        shared = np.searchsorted(cells, np.ravel_multi_index(
+            project_light([0.1, 0.1, 0.99], 32), (32, 32)))
+        assert values[shared, 0] == (irr[11, 0] + irr[12, 0]) / 2 / irr[:, 0].max()
+
+    def test_dense_reference_lights(self):
+        from sparseps.render import BlinnPhong, dense_map_lights, shade
+
+        lights = dense_map_lights(1000, 32)
+        irr = shade(normalize([0.3, -0.2, 0.9]), lights,
+                    BlinnPhong(kd=0.3, ks=0.7, shininess=20.0))
+        cells, _, _ = self.check(lights, irr[:, None])
+        assert cells.size > 500
+
+    def test_ten_lights_on_the_criterion_8_sphere(self):
+        lights, irr, _ = criterion_8_trial()
+        assert irr.shape == (10, 793)
+        cells, _, ok = self.check(lights, irr)
+        assert cells.size <= 10 and ok.any()
+
+    def test_sample_maps_match_parent_arithmetic(self):
+        rng = np.random.default_rng(43)
+        samples = TestBuildSampleMaps.samples(rng, [1, 3, 10, 40, 2, 17, 10])
+        samples.append(PixelSamples([[0.1, 0.1, 0.99], [0.1001, 0.1001, 0.99]],
+                                    [0.3, 0.7]))
+        for w in (4, 8, 32):
+            got = build_sample_maps(samples, w)
+            want = parent_sample_maps(samples, w)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
 
 
 class TestPixelSamplesValidation:

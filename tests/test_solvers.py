@@ -277,6 +277,41 @@ class TestForwards:
             ne_forward(model, obs, obs)
 
 
+class TestMlpModel:
+    def test_restrict_inputs_matches_dense_forward(self):
+        rng = np.random.default_rng(44)
+        model = new_ne_model(32, rng, hidden=(32, 16))
+        cols = np.concatenate([np.sort(rng.choice(1024, 10, replace=False)),
+                               np.arange(1024, 2048)])
+        x = np.zeros((50, 2048))
+        x[:, cols] = rng.uniform(0.0, 1.0, size=(50, cols.size))
+        small = model.restrict_inputs(cols)
+        assert small.input_dim == cols.size
+        assert small.layers[1:] == model.layers[1:]
+        assert small.layers[1].weights is model.layers[1].weights
+        dense = model.forward(x)
+        got = small.forward(x[:, cols])
+        # Relative to each output vector: a linear output near zero cancels.
+        assert (np.linalg.norm(got - dense, axis=1)
+                <= 1e-13 * np.linalg.norm(dense, axis=1)).all()
+        one = small.forward(x[0, cols])
+        assert np.linalg.norm(one - dense[0]) <= 1e-13 * np.linalg.norm(dense[0])
+
+    @pytest.mark.parametrize("make", [new_li_model, new_ne_model])
+    def test_backward_without_input_grad_keeps_param_grads(self, make):
+        rng = np.random.default_rng(45)
+        model = make(8, rng, hidden=(16, 8))
+        x = rng.uniform(0.0, 1.0, size=(20, model.input_dim))
+        out, cache = model.forward_trace(x)
+        grad_out = rng.normal(size=out.shape)
+        full, grad_x = model.backward(cache, grad_out)
+        part, none = model.backward(cache, grad_out, want_input_grad=False)
+        assert grad_x.shape == x.shape and none is None
+        for (dw, db), (pw, pb) in zip(full, part):
+            assert dw.tobytes() == pw.tobytes()
+            assert db.tobytes() == pb.tobytes()
+
+
 class TestPipelineGradients:
     def _fd_worst(self, model, objective, analytic, h=1e-6):
         worst = 0.0
