@@ -201,7 +201,9 @@ def outlier_sensitivity(points, solver, half_angles_deg, seed=0):
     Each point gets one random occluder direction (shared across levels, so
     larger cones strictly contain smaller ones); level 0 means no occlusion.
     Returns (table, nondecreasing) where table rows are
-    (half_angle_deg, mean_error_deg).
+    (half_angle_deg, mean_error_deg).  Raises SparsePSError, naming the
+    level, when the solver fails on every point of a level, which has no
+    mean.
     """
     from .geometry import sample_hemisphere_lights
     from .render import OccluderCone
@@ -224,6 +226,9 @@ def outlier_sensitivity(points, solver, half_angles_deg, seed=0):
             if not valid[0]:
                 continue
             errors.append(angular_error_deg(normals[0], point.normal))
+        if not errors:
+            raise SparsePSError(
+                f"outlier level {half:g} deg: the solver failed on every point")
         table.append((float(half), float(np.mean(errors))))
     means = [row[1] for row in table]
     nondecreasing = all(b >= a for a, b in zip(means, means[1:]))

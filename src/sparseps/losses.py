@@ -62,13 +62,16 @@ def _upsample_quarter(grids, half):
 class MirrorResidual:
     """A stack of maps (B, w*w) minus their mirror images, one axis per map.
 
-    l1 holds sum |V - R V| per map, R the bilinear mirror of `refl`.
+    l1 holds sum |V - R V| per map, R the bilinear mirror of `refl`.  The
+    mirror's corner reads of V serve both the residual and its angle
+    derivative, so V is padded and read once.
     """
 
     def __init__(self, values, refl: BatchReflection):
         self.values = values
         self.refl = refl
-        self.diff = values - refl.gather(values)
+        self.corners = refl.corners(values)
+        self.diff = values - refl.gather(values, self.corners)
         self.l1 = np.abs(self.diff).sum(axis=1)
 
     def value_grad(self):
@@ -79,7 +82,8 @@ class MirrorResidual:
     def angle_grad(self):
         """d l1 / d(axis angle), per map."""
         return -(_sign(self.diff)
-                 * self.refl.angle_derivative_of_gather(self.values)).sum(axis=1)
+                 * self.refl.angle_derivative_of_gather(
+                     self.values, self.corners)).sum(axis=1)
 
 
 class SymmetryTerms:

@@ -249,20 +249,41 @@ def _centered_grid(w):
 _centered_grid._cache = {}
 
 
+def _doubled_angles(axes):
+    """(cos2, sin2), each (B,): cosine and sine of twice each axis angle of
+    axes (B, 2)."""
+    axes = np.asarray(axes, dtype=float)
+    ax = axes[:, 0]
+    ay = axes[:, 1]
+    return ax * ax - ay * ay, 2.0 * ax * ay
+
+
+def _mirror_position(cos2, sin2, px, py, c0):
+    """Index-space mirror position of centered cell coordinates (px, py):
+    R (px, py) + c0, R = [[cos2, sin2], [sin2, -cos2]] the reflection."""
+    return cos2 * px + sin2 * py + c0, sin2 * px - cos2 * py + c0
+
+
 def _reflection(w, axes):
     """Mirror terms for axes (B, 2): (cos2, sin2) of the doubled axis angle,
     each (B, 1), and the reflected index positions (pos_x, pos_y), each
     (B, w*w)."""
-    axes = np.asarray(axes, dtype=float)
-    c0 = (w - 1) / 2.0
+    cos2, sin2 = _doubled_angles(axes)
+    cos2, sin2 = cos2[:, None], sin2[:, None]
     px, py = _centered_grid(w)
-    ax = axes[:, 0:1]
-    ay = axes[:, 1:2]
-    cos2 = ax * ax - ay * ay
-    sin2 = 2.0 * ax * ay
-    pos_x = cos2 * px + sin2 * py + c0
-    pos_y = sin2 * px - cos2 * py + c0
-    return cos2, sin2, pos_x, pos_y
+    return (cos2, sin2) + _mirror_position(cos2, sin2, px, py, (w - 1) / 2.0)
+
+
+def _nearest_cell(w, pos_x, pos_y):
+    """Flat index rint(pos_y) * w + rint(pos_x) of the cell nearest each
+    position, as float (whole numbers, exact), and whether that cell lies
+    inside the w x w grid.  Overwrites pos_x and pos_y."""
+    np.rint(pos_x, out=pos_x)
+    np.rint(pos_y, out=pos_y)
+    inside = (pos_y >= 0) & (pos_y < w) & (pos_x >= 0) & (pos_x < w)
+    pos_y *= w
+    pos_y += pos_x
+    return pos_y, inside
 
 
 def mirror_sources(w, axes):
@@ -273,13 +294,54 @@ def mirror_sources(w, axes):
     outside the grid (src is then meaningless).
     """
     _, _, cx, cy = _reflection(w, axes)
-    np.rint(cx, out=cx)
-    np.rint(cy, out=cy)
-    inside = (cy >= 0) & (cy < w) & (cx >= 0) & (cx < w)
-    cy *= w
-    cy += cx                                  # whole numbers, exact in float64
-    cy += np.arange(cy.shape[0])[:, None] * (w * w)
-    return cy.astype(np.int64), inside
+    src, inside = _nearest_cell(w, cx, cy)
+    src += np.arange(src.shape[0])[:, None] * (w * w)
+    return src.astype(np.int64), inside
+
+
+# The 3 x 3 block of cell offsets (dy, dx) around a point, row by row.
+_BLOCK_DY = np.repeat([-1.0, 0.0, 1.0], 3)
+_BLOCK_DX = np.tile([-1.0, 0.0, 1.0], 3)
+
+
+def mirror_fill(w, axes, known):
+    """The empty cells whose nearest mirror cell is known, and that cell.
+
+    known is (m, w*w) bool, one map per unit axis of axes (m, 2), or
+    (w*w,) shared by every map.  Gives exactly the cells where
+    mirror_sources finds inside & known[src] and the cell itself is not
+    known, without testing every cell: a cell c whose mirror position R c
+    rounds to a known cell k lies within sqrt(2)/2 of R k (R is its own
+    inverse), so it is in the 3 x 3 block around rint(R k).  Only those
+    blocks are tested, through the same position and rounding expressions.
+    Returns (dst, src), flat indices into the stack (m*w*w); a cell may
+    appear more than once, always with the same source.
+    """
+    size = w * w
+    c0 = (w - 1) / 2.0
+    cos2, sin2 = _doubled_angles(axes)
+    px, py = _centered_grid(w)
+    known = np.asarray(known, dtype=bool).reshape(-1, size)
+    shared = known.shape[0] == 1
+    if shared:
+        kcell = np.flatnonzero(known)
+        kmap = np.repeat(np.arange(cos2.size), kcell.size)
+        kcell = np.tile(kcell, cos2.size)
+    else:
+        kmap, kcell = np.nonzero(known)
+    kx, ky = _mirror_position(cos2[kmap], sin2[kmap], px[kcell], py[kcell], c0)
+    cx = np.rint(kx)[:, None] + _BLOCK_DX
+    cy = np.rint(ky)[:, None] + _BLOCK_DY
+    ok = (cy >= 0) & (cy < w) & (cx >= 0) & (cx < w)
+    cell = (cy[ok] * w + cx[ok]).astype(np.int64)
+    cmap = np.broadcast_to(kmap[:, None], ok.shape)[ok]
+    sx, sy = _mirror_position(cos2[cmap], sin2[cmap], px[cell], py[cell], c0)
+    src, inside = _nearest_cell(w, sx, sy)
+    src = np.where(inside, src, 0.0).astype(np.int64)
+    row = 0 if shared else cmap
+    take = inside & known[row, src] & ~known[row, cell]
+    cmap = cmap[take] * size
+    return cmap + cell[take], cmap + src[take]
 
 
 class BatchReflection:
@@ -332,12 +394,22 @@ class BatchReflection:
         out[:, p:p + w, p:p + w] = grids.reshape(self.batch, w, w)
         return out.reshape(-1)
 
-    def gather(self, values):
-        """Bilinear read of each map at its reflected positions."""
+    def corners(self, values):
+        """The values (v00, v01, v10, v11) at the four bilinear corners of
+        every reflected position, each (B, w*w), read from the padded stack.
+        gather and angle_derivative_of_gather take them in place of reading
+        the same stack again."""
         flat = self._padded(values)
+        return tuple(flat.take(idx) for idx in self._idx)
+
+    def gather(self, values, corners=None):
+        """Bilinear read of each map at its reflected positions; corners,
+        when given, are corners(values)."""
+        if corners is None:
+            corners = self.corners(values)
         out = np.zeros((self.batch, self.w * self.w))
-        for idx, wgt in zip(self._idx, self._wgt):
-            out += wgt * flat.take(idx)
+        for v, wgt in zip(corners, self._wgt):
+            out += wgt * v
         return out
 
     def adjoint(self, grids):
@@ -360,16 +432,18 @@ class BatchReflection:
         out[inside] = grids.reshape(-1)[src[inside]]
         return out
 
-    def angle_derivative_of_gather(self, values):
-        """d(gather)/d(axis angle) at each cell.
+    def angle_derivative_of_gather(self, values, corners=None):
+        """d(gather)/d(axis angle) at each cell; corners, when given, are
+        corners(values).
 
         Uses the spatial gradient of the zero-padded bilinear field, piecewise
         constant per cell.  In-bounds corners contribute their true values
         even where the interpolation weight is exactly zero (sample on a cell
         edge), so the gradient matches the field, not the weights.
         """
-        flat = self._padded(values)
-        v00, v01, v10, v11 = (flat.take(idx) for idx in self._idx)
+        if corners is None:
+            corners = self.corners(values)
+        v00, v01, v10, v11 = corners
         dbdx = self._gy * (v01 - v00) + self._fy * (v11 - v10)
         dbdy = self._gx * (v10 - v00) + self._fx * (v11 - v01)
         # Derivative of the position w.r.t. the axis angle psi.

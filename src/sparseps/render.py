@@ -16,7 +16,11 @@ import numpy as np
 
 from . import fileio
 from .geometry import VIEW_DIR
-from .obsmap import ObservationMap, PixelSamples, build_observation_map
+from .errors import DegenerateSamplesError
+from .obsmap import ObservationMap, PixelSamples, _project_lights
+
+# Unused here, but bound: bench/run.py traces this name on this module.
+from .obsmap import build_observation_map  # noqa: F401,E402
 
 
 @dataclass
@@ -200,17 +204,50 @@ def _dense_map_lights(light_count, w):
     return np.vstack(blocks)
 
 
+def _dense_map_cells(light_count, w):
+    """dense_map_lights(light_count, w) projected onto the w x w grid, built
+    once per pair and cached: (cell, occupied, counts), each light's flat
+    cell, the occupied cells in increasing order and their light counts."""
+    key = (int(light_count), int(w))
+    cached = _dense_map_cells._cache.get(key)
+    if cached is None:
+        cell = _project_lights(dense_map_lights(*key), key[1])
+        counts = np.bincount(cell, minlength=key[1] ** 2)
+        occupied = counts.nonzero()[0]
+        cached = (cell, occupied, counts[occupied])
+        _dense_map_cells._cache[key] = cached
+    return cached
+
+
+_dense_map_cells._cache = {}
+
+
 def make_dense_gt_map(n, brdf: BRDFSpec, light_count=1000, w=32) -> ObservationMap:
     """Densely sampled reference map for a single normal.
 
     Uses the fixed sequence from dense_map_lights so the same arguments
-    always produce the same map, bit for bit.
+    always produce the same map, bit for bit: build_observation_map's map
+    of those lights, whose cells are projected once per (light_count, w).
+    Each occupied cell sums its lights in order, then is divided by their
+    count and by the peak irradiance.
     """
     if light_count < 100:
         raise ValueError("light_count must be >= 100")
     lights = dense_map_lights(light_count, w)
+    cell, occupied, counts = _dense_map_cells(light_count, w)
     irr = shade(n, lights, brdf)
-    return build_observation_map(PixelSamples(lights, irr, np.asarray(n, float)), w)
+    if not (np.isfinite(irr).all() and (irr >= 0).all()):
+        raise ValueError("irradiance must be finite and nonnegative")
+    peak = irr.max()
+    if not peak > 0.0:
+        raise DegenerateSamplesError("all sample irradiance values are zero")
+    means = np.bincount(cell, weights=irr, minlength=w * w)[occupied] / counts
+    means /= peak
+    values = np.zeros(w * w)
+    values[occupied] = means
+    mask = np.zeros(w * w, dtype=np.uint8)
+    mask[occupied] = 1
+    return ObservationMap(values.reshape(w, w), mask.reshape(w, w))
 
 
 def save_scene(scene: RenderedScene, directory):

@@ -43,7 +43,7 @@ from .obsmap import (
     build_observation_map,
     build_sample_maps,
     map_cell_lights,
-    mirror_sources,
+    mirror_fill,
 )
 from .render import BlinnPhong, Lambertian, make_dense_gt_map, shade
 
@@ -96,62 +96,83 @@ def symmetry_inpaint_maps(values, known, axes=None, iterations=None):
     axis, then diffuse until every cell is filled.
 
     values (m, w, w) holds the sparse maps and known (m, w, w) or (w, w)
-    their known cells, which are never modified.  With axes (m, 2), the
-    mirror step copies (nearest neighbor) the value of the reflected cell
-    into each empty cell whose reflection is known; axes=None skips it.
-    Remaining holes are filled by repeated 3x3 masked-mean passes, each
-    computed only on the cells it fills.  `iterations`, when given, caps the
+    their known cells, which are never modified.  With unit axes (m, 2),
+    the mirror step copies (nearest neighbor) the value of the reflected
+    cell into each empty cell whose reflection is known; only the 3 x 3
+    blocks around the known cells' own mirror positions can hold such a
+    cell, so only those are tested (obsmap.mirror_fill).  axes=None skips
+    the step.  Remaining holes are filled by passes over the frontier, the
+    empty cells with a filled 3x3 neighbor: each takes the mean of its
+    filled neighbors, summed row by row.  The filled flags are bytes in a
+    zero-bordered stack, so a pass counts every cell's filled neighbors
+    with four shifted adds and reads the frontier's neighbor values through
+    fixed shifted views of the stack.  `iterations`, when given, caps the
     passes, with a map's leftovers taking the mean of its filled cells.
     Returns the dense values (m, w, w), clipped to [0, 1] outside the known
-    cells.  Every map needs at least one known cell.
+    cells.  A map with no known cell stays zero.
     """
     values = np.asarray(values, dtype=float)
     m, w = values.shape[0], values.shape[-1]
-    known = np.broadcast_to(np.asarray(known, dtype=bool), values.shape)
-    current = np.where(known, values, 0.0).reshape(m, w * w)
-    filled = known.reshape(m, w * w).copy()
-    if axes is not None:
-        src, take = mirror_sources(w, axes)
-        take &= ~filled
-        take[take] = known.reshape(-1)[src[take]]
-        current[take] = current.reshape(-1)[src[take]]
-        filled |= take
+    known = np.asarray(known, dtype=bool)
 
-    # Zero-padded buffers: every cell's 3x3 neighborhood is in bounds.
+    # Zero-bordered stack: every cell's 3x3 neighborhood is in bounds, and
+    # empty and border cells hold value +0.0 and flag 0.
     side = w + 2
     padded_v = np.zeros((m, side, side))
-    padded_f = np.zeros((m, side, side), dtype=bool)
-    padded_v[:, 1:-1, 1:-1] = current.reshape(m, w, w)
-    padded_f[:, 1:-1, 1:-1] = filled.reshape(m, w, w)
-    del current, filled          # lower the peak memory of the passes
+    filled = np.zeros((m, side, side), dtype=np.uint8)
+    np.copyto(padded_v[:, 1:-1, 1:-1], values, where=known)
+    filled[:, 1:-1, 1:-1] = known
     flat_v = padded_v.reshape(-1)
-    flat_f = padded_f.reshape(-1)
-    grow = np.zeros_like(padded_f)
-    offsets = [dr * side + dc for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
+    flat_f = filled.reshape(-1)
+    if axes is not None:
+        dst, src = mirror_fill(w, axes, known.reshape(-1, w * w))
+        # Stack index k*w*w + r*w + c -> padded index k*side*side
+        # + (r+1)*side + c+1.
+        dst, src = ((i + 2 * (i // w) + 2 * side * (i // (w * w)) + side + 1)
+                    for i in (dst, src))
+        flat_v[dst] = flat_v[src]
+        flat_f[dst] = 1
+    # 1 at the empty interior cells, 0 at the filled and the border.
+    empty = np.zeros_like(filled)
+    np.subtract(1, filled[:, 1:-1, 1:-1], out=empty[:, 1:-1, 1:-1])
+    # Cell lo + j, lo = side + 1, is centre j of the count array below; its
+    # neighbor (dr, dc) is flat_v[j + (dr + 1) * side + dc + 1].  A frontier
+    # cell itself holds +0.0, which leaves a sum that is never -0.0
+    # unchanged, so its own view is left out of the sums.
+    lo = side + 1
+    views = [flat_v[(dr + 1) * side + dc + 1:] for dr in (-1, 0, 1)
+             for dc in (-1, 0, 1) if dr or dc]
+    centre_v, centre_f = flat_v[lo:], flat_f[lo:]
+    centre_empty = empty.reshape(-1)[lo:-lo]
     passes = 0
     while True:
-        # The cells a pass fills: empty ones in the 3x3 dilation of the filled.
-        across = padded_f[:, :, :-2] | padded_f[:, :, 1:-1] | padded_f[:, :, 2:]
-        np.logical_and(across[:, :-2] | across[:, 1:-1] | across[:, 2:],
-                       ~padded_f[:, 1:-1, 1:-1], out=grow[:, 1:-1, 1:-1])
-        centre = np.flatnonzero(grow)
-        if centre.size == 0:
+        across = flat_f[:-2] + flat_f[1:-1]
+        across += flat_f[2:]
+        count = across[:-2 * side] + across[side:-side]
+        count += across[2 * side:]
+        # min(count, empty) is 1 on the frontier and 0 elsewhere, so it
+        # reads as bool; `across` is done with and holds it.
+        j = np.flatnonzero(np.minimum(count, centre_empty, out=across[:count.size])
+                           .view(bool))
+        if j.size == 0:
             break
         if iterations is not None and passes >= iterations:
-            for k in np.unique(centre // (side * side)):
-                grid, have = padded_v[k, 1:-1, 1:-1], padded_f[k, 1:-1, 1:-1]
+            for k in np.unique((j + lo) // (side * side)):
+                grid = padded_v[k, 1:-1, 1:-1]
+                have = filled[k, 1:-1, 1:-1].astype(bool)
                 grid[~have] = grid[have].mean()
             break
-        sums = np.zeros(centre.size)
-        counts = np.zeros(centre.size, dtype=np.int8)
-        for off in offsets:
-            sums += flat_v[centre + off]
-            counts += flat_f[centre + off]
-        flat_v[centre] = sums / counts
-        flat_f[centre] = True
+        sums = np.zeros(j.size)
+        for view in views:
+            sums += view.take(j)
+        centre_v[j] = sums / count.take(j)
+        centre_f[j] = 1
+        centre_empty[j] = 0
         passes += 1
 
-    return np.where(known, values, np.clip(padded_v[:, 1:-1, 1:-1], 0.0, 1.0))
+    out = np.clip(padded_v[:, 1:-1, 1:-1], 0.0, 1.0)
+    np.copyto(out, values, where=known)
+    return out
 
 
 def symmetry_inpaint(S: ObservationMap, m_s=None, n_hint=None, iterations=None,

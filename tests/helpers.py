@@ -157,7 +157,7 @@ def reference_inpaint(values, known, n_hint=None, iterations=None,
                       mirror_step=True):
     """One map completed by whole-grid passes: nearest-neighbour mirror about
     axis_from_normal(n_hint), 3x3 masked-mean diffusion over the padded grid,
-    clip, known cells restored."""
+    clip, known cells restored.  A map with no known cell stays zero."""
     w = values.shape[0]
     known = known.astype(bool)
     current = values.copy()
@@ -177,10 +177,6 @@ def reference_inpaint(values, known, n_hint=None, iterations=None,
         filled |= take
     passes = 0
     while not filled.all():
-        if iterations is not None and passes >= iterations:
-            current[~filled] = current[filled].mean()
-            filled[:] = True
-            break
         padded_v = np.pad(current * filled, 1)
         padded_m = np.pad(filled.astype(float), 1)
         sums = np.zeros_like(current)
@@ -190,6 +186,11 @@ def reference_inpaint(values, known, n_hint=None, iterations=None,
                 sums += padded_v[dr:dr + w, dc:dc + w]
                 counts += padded_m[dr:dr + w, dc:dc + w]
         grow = ~filled & (counts > 0)
+        if not grow.any():
+            break
+        if iterations is not None and passes >= iterations:
+            current[~filled] = current[filled].mean()
+            break
         current[grow] = sums[grow] / counts[grow]
         filled |= grow
         passes += 1

@@ -20,6 +20,7 @@ from sparseps.evaluation import (
     run_trials,
     write_report,
 )
+from sparseps.errors import SparsePSError
 from sparseps.fileio import read_pgm, read_pfm
 from sparseps.geometry import angular_error_deg, normalize, sample_hemisphere_lights
 from sparseps.obsmap import PixelSamples, occupied_cells
@@ -163,6 +164,23 @@ class TestOutlierSensitivity:
     def test_needs_two_levels(self):
         with pytest.raises(ValueError):
             outlier_sensitivity(random_points(5, seed=10), LsSolver(), [10.0])
+
+    def test_level_where_every_point_fails_raises(self):
+        # A solver that gives up on any dark sample solves every unshadowed
+        # point but none under 85-degree cones, so that level has no mean:
+        # an error naming it, not a NaN row.
+        class GivesUpInShadow(LsSolver):
+            def solve_batch(self, lights, irradiance_matrix):
+                normals, valid = super().solve_batch(lights, irradiance_matrix)
+                return normals, valid & (irradiance_matrix > 0).all(axis=0)
+
+        points = [p for p in random_points(12, seed=11)
+                  if (p.irradiance > 0).all()]
+        table, _ = outlier_sensitivity(points, GivesUpInShadow(), [0.0, 5.0],
+                                       seed=4)
+        assert np.isfinite(table[0][1])
+        with pytest.raises(SparsePSError, match="outlier level 85 deg"):
+            outlier_sensitivity(points, GivesUpInShadow(), [0.0, 85.0], seed=4)
 
 
 class TestOtherSolvers:

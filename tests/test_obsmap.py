@@ -27,6 +27,8 @@ from sparseps.obsmap import (
     load_obsm,
     map_cell_lights,
     mirror,
+    mirror_fill,
+    mirror_sources,
     occupied_cells,
     project_light,
     save_obsm,
@@ -393,6 +395,62 @@ class TestBatchReflection:
                     block, np.broadcast_to(np.arange(len(axes))[:, None], idx.shape))
                 assert (row >= dy).all() and (row < side - 1 + dy).all(), w
                 assert (col >= dx).all() and (col < side - 1 + dx).all(), w
+
+
+class TestMirrorFill:
+    """Testing only the 3 x 3 blocks around the known cells' mirror
+    positions selects exactly the cells that mirror_sources, run on every
+    cell, selects."""
+
+    WIDTHS = [1, 2, 3, 4, 5, 7, 8, 9, 16, 31, 32, 64]
+
+    @staticmethod
+    def axes(rng):
+        # The 22.5-degree family (axis-aligned and 45-degree axes among
+        # them), normals near z (the fallback axis) and random normals.
+        rad = np.radians(np.arange(0, 360, 22.5))
+        normals = rng.normal(size=(24, 3))
+        normals[:, 2] = np.abs(normals[:, 2]) + 0.1
+        normals[:3, :2] = [[1e-8, 0.0], [0.0, -1e-9], [0.0, 0.0]]
+        return np.concatenate([np.column_stack([np.cos(rad), np.sin(rad)]),
+                               axis_from_normal(normals)])
+
+    @staticmethod
+    def every_cell(w, axes, known):
+        """(dst, src) of each empty cell whose nearest mirror cell is known,
+        from mirror_sources over the whole stack."""
+        src, inside = mirror_sources(w, axes)
+        flat = known.reshape(-1)
+        take = inside & ~known & flat[np.where(inside, src, 0)]
+        dst = np.flatnonzero(take)
+        return np.column_stack([dst, src.reshape(-1)[dst]])
+
+    @staticmethod
+    def pairs(dst, src):
+        # Repeats are allowed; each cell must keep one source.
+        return np.unique(np.column_stack([dst, src]), axis=0)
+
+    @pytest.mark.parametrize("density", [0.01, 0.1, 0.5])
+    @pytest.mark.parametrize("w", WIDTHS)
+    def test_per_map_known(self, w, density):
+        rng = np.random.default_rng(300 + w)
+        axes = self.axes(rng)
+        known = rng.uniform(size=(len(axes), w * w)) < density
+        known[::5] = False
+        known[::5, rng.integers(w * w)] = True        # one known cell
+        known[1] = False                              # none
+        got = self.pairs(*mirror_fill(w, axes, known))
+        np.testing.assert_array_equal(got, self.every_cell(w, axes, known))
+
+    @pytest.mark.parametrize("w", WIDTHS)
+    def test_shared_known(self, w):
+        rng = np.random.default_rng(400 + w)
+        axes = self.axes(rng)
+        known = rng.uniform(size=w * w) < 0.1
+        known[rng.integers(w * w)] = True
+        got = self.pairs(*mirror_fill(w, axes, known))
+        want = self.every_cell(w, axes, np.broadcast_to(known, (len(axes), w * w)))
+        np.testing.assert_array_equal(got, want)
 
 
 class TestBuildSampleMaps:

@@ -212,6 +212,29 @@ class TestDenseGtMap:
         b = make_dense_gt_map([0.3, 0.1, 0.9486], BlinnPhong(), 1000, 32)
         np.testing.assert_array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("light_count,w", [(1000, 32), (1000, 16),
+                                               (100, 64), (300, 8)])
+    def test_bit_identical_to_build_observation_map(self, light_count, w):
+        from sparseps.obsmap import build_observation_map
+
+        rng = np.random.default_rng(light_count + w)
+        lights = dense_map_lights(light_count, w)
+        for brdf in (Lambertian(0.7), BlinnPhong(0.3, 0.9, 30.0)):
+            for _ in range(3):
+                n = normalize([rng.normal(), rng.normal(),
+                               abs(rng.normal()) + 0.3])
+                want = build_observation_map(
+                    PixelSamples(lights, shade(n, lights, brdf), n), w)
+                got = make_dense_gt_map(n, brdf, light_count, w)
+                assert got.values.tobytes() == want.values.tobytes()
+                assert got.mask.tobytes() == want.mask.tobytes()
+
+    def test_all_dark_normal_rejected(self):
+        from sparseps.errors import DegenerateSamplesError
+
+        with pytest.raises(DegenerateSamplesError):
+            make_dense_gt_map([0.0, 0.0, -1.0], Lambertian(1.0), 1000, 32)
+
     def test_light_count_floor(self):
         with pytest.raises(ValueError):
             make_dense_gt_map(Z, Lambertian(1.0), 50, 32)

@@ -213,6 +213,31 @@ class TestSymmetryInpaintMaps:
                                       mirror_step=mirror_step)
             np.testing.assert_array_equal(single.values, ref)
 
+    @pytest.mark.parametrize("iterations", [None, 2])
+    @pytest.mark.parametrize("w", [1, 3, 5, 8, 9, 16, 31])
+    def test_per_map_known_against_reference(self, w, iterations):
+        # Each map its own known cells, at odd and even widths, with maps of
+        # one known cell and a map of none (which stays zero).
+        rng = np.random.default_rng(50 + w)
+        m = 12
+        values = rng.uniform(size=(m, w, w))
+        known = rng.uniform(size=(m, w, w)) < 0.15
+        known[:3] = False
+        known[0, w // 2, 0] = known[1, 0, w - 1] = True
+        normals = rng.normal(size=(m, 3))
+        normals[:, 2] = np.abs(normals[:, 2]) + 0.1
+        normals[3, :2] = [1e-8, 0.0]                  # the fallback axis
+        normals[4, :2] = [0.0, 1.0]                   # axis-aligned
+        normals[5, :2] = [1.0, 1.0]                   # 45 degrees
+        for mirror_step in (True, False):
+            axes = axis_from_normal(normals) if mirror_step else None
+            dense = symmetry_inpaint_maps(values, known, axes, iterations)
+            for p in range(m):
+                ref = reference_inpaint(values[p], known[p], normals[p],
+                                        iterations, mirror_step)
+                assert dense[p].tobytes() == ref.tobytes(), (p, mirror_step)
+        assert not dense[2].any()
+
     def test_no_known_cell_rejected(self):
         empty = ObservationMap(np.zeros((8, 8)), np.zeros((8, 8), np.uint8))
         with pytest.raises(DegenerateSamplesError):
