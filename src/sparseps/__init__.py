@@ -64,11 +64,8 @@ from .mlp import MlpModel, load_model, save_model
 from .solvers import (
     TrainConfig,
     TrainTrace,
-    infer,
-    li_forward,
     ls_normal,
     make_training_set,
-    ne_forward,
     new_li_model,
     new_ne_model,
     symmetry_inpaint,

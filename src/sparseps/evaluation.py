@@ -16,7 +16,7 @@ from typing import List
 import numpy as np
 
 from . import fileio
-from .errors import SparsePSError
+from .errors import DegenerateLightingError, ShapeError, SparsePSError
 from .geometry import angular_error_deg, normalize_with_flip, perturb_light
 from .obsmap import (
     axis_from_normal,
@@ -106,12 +106,17 @@ class ModelSolver:
     and 0 elsewhere) and g reads the sparse values there plus the whole
     dense map, so each model's first layer runs on those input columns
     alone (MlpModel.restrict_inputs) and every pixel of the trial goes
-    through f and g as one batch.
+    through f and g as one batch.  Raises ShapeError when a model does not
+    take 2 * w * w inputs.
     """
 
     name = "trained"
 
     def __init__(self, li, ne, w=32):
+        for tag, model in (("f", li), ("g", ne)):
+            if model.input_dim != 2 * w * w:
+                raise ShapeError(f"model {tag} takes {model.input_dim} inputs, "
+                                 f"but maps of width {w} give 2*w*w = {2 * w * w}")
         self.li = li
         self.ne = ne
         self.w = w
@@ -141,7 +146,9 @@ def run_trials(scene: RenderedScene, solver, cfg: TrialConfig) -> EvalReport:
     values stay those imaged under the true lights.  The perturbations come
     from their own generator, so every noise level of a sweep sees the same
     light subsets.  Pixels a solver cannot handle are excluded from the trial
-    mean and counted.
+    mean and counted, as are all pixels of a draw whose lights do not span
+    3D.  The overall mean averages the trials that have a valid pixel (the
+    others record NaN); raises SparsePSError when no trial has one.
     """
     rng = np.random.default_rng(cfg.seed)
     noise_rng = np.random.default_rng([cfg.seed, 1])
@@ -164,12 +171,18 @@ def run_trials(scene: RenderedScene, solver, cfg: TrialConfig) -> EvalReport:
             ])
         else:
             solver_lights = true_lights
-        normals, valid = solver.solve_batch(solver_lights, irr)
+        try:
+            normals, valid = solver.solve_batch(solver_lights, irr)
+        except DegenerateLightingError:
+            normals, valid = np.zeros((gt.shape[0], 3)), np.zeros(gt.shape[0], bool)
         errors = np.zeros(valid.shape[0])
         errors[valid] = angular_error_deg(normals[valid], gt[valid])
         excluded += int((~valid).sum())
         per_trial[trial] = float(errors[valid].mean()) if valid.any() else float("nan")
         last_errors, last_valid = errors, valid
+    solved = ~np.isnan(per_trial)
+    if not solved.any():
+        raise SparsePSError(f"{solver.name}: no trial has a valid pixel")
     error_map = np.zeros_like(scene.mask, dtype=float)
     grid = np.zeros(last_valid.shape[0])
     grid[last_valid] = last_errors[last_valid]
@@ -181,7 +194,7 @@ def run_trials(scene: RenderedScene, solver, cfg: TrialConfig) -> EvalReport:
         n_lights=cfg.n_lights,
         sigma_deg=cfg.sigma_deg,
         per_trial_mean_deg=per_trial,
-        overall_mean_deg=float(per_trial.mean()),
+        overall_mean_deg=float(per_trial[solved].mean()),
         error_map_deg=error_map,
         excluded_pixels=excluded,
     )

@@ -77,25 +77,23 @@ class MlpModel:
         return self.layers[-1].weights.shape[0]
 
     def forward(self, x):
-        """Evaluate the network; x is (in,) or (batch, in)."""
+        """Evaluate the network on a batch x (batch, in)."""
         out, _ = self.forward_trace(x)
         return out
 
     def forward_trace(self, x):
         """Forward pass keeping intermediate values for backpropagation."""
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        a = x[None, :] if squeeze else x
-        if a.shape[1] != self.input_dim:
+        a = np.asarray(x, dtype=float)
+        if a.ndim != 2 or a.shape[1] != self.input_dim:
             raise ShapeError(
-                f"model expects input dim {self.input_dim}, got {a.shape[1]}"
+                f"model expects (batch, {self.input_dim}) inputs, got {a.shape}"
             )
         cache = [(None, a)]
         for layer in self.layers:
             z = a @ layer.weights.T + layer.bias
             a = _apply_activation(layer.activation, z)
             cache.append((z, a))
-        return (a[0] if squeeze else a), cache
+        return a, cache
 
     def restrict_inputs(self, cols):
         """The model on the input columns `cols` alone.
@@ -111,16 +109,14 @@ class MlpModel:
 
     def backward(self, cache, grad_out, want_param_grads=True,
                  want_input_grad=True):
-        """Backpropagate grad_out (matching forward_trace's output shape).
+        """Backpropagate grad_out (batch, out), shaped as forward_trace's output.
 
         Returns (param_grads, grad_input) where param_grads is a list of
         (dW, db) per layer summed over the batch, or None when not requested,
         and grad_input is None when not requested (its product with the
         first layer's weights is then skipped).
         """
-        grad_out = np.asarray(grad_out, dtype=float)
-        squeeze = grad_out.ndim == 1
-        g = grad_out[None, :] if squeeze else grad_out
+        g = np.asarray(grad_out, dtype=float)
         param_grads = [None] * len(self.layers) if want_param_grads else None
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
@@ -132,7 +128,7 @@ class MlpModel:
             if i == 0 and not want_input_grad:
                 return param_grads, None
             g = gz @ layer.weights
-        return param_grads, (g[0] if squeeze else g)
+        return param_grads, g
 
 
 def init_model(dims, activations, rng) -> MlpModel:

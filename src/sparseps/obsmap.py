@@ -73,15 +73,10 @@ def project_light(l, w):
     """Grid cell (row, col) of a light direction under orthographic projection.
 
     col = clamp(floor(w * (l.x + 1) / 2), 0, w - 1) and likewise row from l.y,
-    so the zenith (0, 0, 1) lands in the center cell.  Raises HemisphereError
-    when l.z < 0.
+    so the zenith (0, 0, 1) lands in the center cell: _project_lights on a
+    batch of one.  Raises HemisphereError when l.z < 0.
     """
-    l = np.asarray(l, dtype=float)
-    if l[2] < 0:
-        raise HemisphereError(f"light z component is negative: {l[2]}")
-    col = int(np.clip(np.floor(w * (l[0] + 1.0) / 2.0), 0, w - 1))
-    row = int(np.clip(np.floor(w * (l[1] + 1.0) / 2.0), 0, w - 1))
-    return row, col
+    return divmod(int(_project_lights(np.asarray(l, dtype=float)[None], w)[0]), w)
 
 
 def _project_lights(lights, w):
@@ -456,8 +451,7 @@ class BatchReflection:
 class ReflectionPlan:
     """BatchReflection of one map about one axis: (w, w) grids in and out.
 
-    pos_x and pos_y are the reflected index positions of the flattened grid;
-    angle_derivative_of_gather returns a flat (w*w,) array.
+    pos_x and pos_y are the reflected index positions of the flattened grid.
     """
 
     def __init__(self, w, axis):
@@ -473,14 +467,8 @@ class ReflectionPlan:
     def gather(self, values):
         return self._one(self._batch.gather, values).reshape(self.w, self.w)
 
-    def adjoint(self, grid):
-        return self._one(self._batch.adjoint, grid).reshape(self.w, self.w)
-
     def gather_nearest(self, grid):
         return self._one(self._batch.gather_nearest, grid).reshape(self.w, self.w)
-
-    def angle_derivative_of_gather(self, values):
-        return self._one(self._batch.angle_derivative_of_gather, values)
 
 
 def mirror(D: ObservationMap, n) -> ObservationMap:

@@ -23,7 +23,6 @@ from .errors import (
     DegenerateSamplesError,
     DivergenceError,
     NormalizationError,
-    ShapeError,
 )
 from .geometry import normalize_with_flip, sample_hemisphere_lights
 from .losses import (
@@ -40,12 +39,14 @@ from .obsmap import (
     ObservationMap,
     PixelSamples,
     axis_from_normal,
-    build_observation_map,
     build_sample_maps,
     map_cell_lights,
     mirror_fill,
 )
 from .render import BlinnPhong, Lambertian, make_dense_gt_map, shade
+
+# Unused here, but bound: bench/run.py traces this name on this module.
+from .obsmap import build_observation_map  # noqa: F401,E402
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +92,7 @@ def _ls_fit(lights, irradiance_matrix):
 # Deterministic symmetry inpainter
 # ---------------------------------------------------------------------------
 
-def symmetry_inpaint_maps(values, known, axes=None, iterations=None):
+def symmetry_inpaint_maps(values, known, axes=None):
     """Complete a stack of sparse maps: mirror known cells about each map's
     axis, then diffuse until every cell is filled.
 
@@ -106,10 +107,9 @@ def symmetry_inpaint_maps(values, known, axes=None, iterations=None):
     filled neighbors, summed row by row.  The filled flags are bytes in a
     zero-bordered stack, so a pass counts every cell's filled neighbors
     with four shifted adds and reads the frontier's neighbor values through
-    fixed shifted views of the stack.  `iterations`, when given, caps the
-    passes, with a map's leftovers taking the mean of its filled cells.
-    Returns the dense values (m, w, w), clipped to [0, 1] outside the known
-    cells.  A map with no known cell stays zero.
+    fixed shifted views of the stack.  Returns the dense values (m, w, w),
+    clipped to [0, 1] outside the known cells.  A map with no known cell
+    stays zero.
     """
     values = np.asarray(values, dtype=float)
     m, w = values.shape[0], values.shape[-1]
@@ -144,7 +144,6 @@ def symmetry_inpaint_maps(values, known, axes=None, iterations=None):
              for dc in (-1, 0, 1) if dr or dc]
     centre_v, centre_f = flat_v[lo:], flat_f[lo:]
     centre_empty = empty.reshape(-1)[lo:-lo]
-    passes = 0
     while True:
         across = flat_f[:-2] + flat_f[1:-1]
         across += flat_f[2:]
@@ -156,39 +155,32 @@ def symmetry_inpaint_maps(values, known, axes=None, iterations=None):
                            .view(bool))
         if j.size == 0:
             break
-        if iterations is not None and passes >= iterations:
-            for k in np.unique((j + lo) // (side * side)):
-                grid = padded_v[k, 1:-1, 1:-1]
-                have = filled[k, 1:-1, 1:-1].astype(bool)
-                grid[~have] = grid[have].mean()
-            break
         sums = np.zeros(j.size)
         for view in views:
             sums += view.take(j)
         centre_v[j] = sums / count.take(j)
         centre_f[j] = 1
         centre_empty[j] = 0
-        passes += 1
 
     out = np.clip(padded_v[:, 1:-1, 1:-1], 0.0, 1.0)
     np.copyto(out, values, where=known)
     return out
 
 
-def symmetry_inpaint(S: ObservationMap, m_s=None, n_hint=None, iterations=None,
+def symmetry_inpaint(S: ObservationMap, n_hint=None,
                      mirror_step=True) -> ObservationMap:
     """Complete one sparse map: symmetry_inpaint_maps on a batch of one.
 
     The mirror axis is axis_from_normal(n_hint); without a hint, or with
     mirror_step=False (the diffusion-only baseline), only diffusion runs.
     """
-    known = (S.mask if m_s is None else np.asarray(m_s)).astype(bool)
+    known = S.mask.astype(bool)
     if not known.any():
         raise DegenerateSamplesError("inpainting requires at least one known cell")
     axes = None
     if mirror_step and n_hint is not None:
         axes = axis_from_normal(n_hint)[None]
-    dense = symmetry_inpaint_maps(S.values[None], known, axes, iterations)[0]
+    dense = symmetry_inpaint_maps(S.values[None], known, axes)[0]
     return ObservationMap(dense, np.ones_like(S.mask))
 
 
@@ -216,54 +208,18 @@ def new_ne_model(w, rng, hidden=(128, 64)) -> MlpModel:
     return init_model(dims, acts, rng)
 
 
-def _model_width(model: MlpModel) -> int:
-    w = int(round(np.sqrt(model.input_dim / 2)))
-    if 2 * w * w != model.input_dim:
-        raise ShapeError(f"model input dim {model.input_dim} is not 2*w^2")
-    return w
-
-
-def li_forward(model: MlpModel, S: ObservationMap, m_s=None) -> ObservationMap:
-    """Run the interpolation model; the output map has a full mask."""
-    w = _model_width(model)
-    if S.width != w:
-        raise ShapeError(f"model expects {w}x{w} maps, got {S.width}x{S.width}")
-    mask = (S.mask if m_s is None else np.asarray(m_s)).astype(float)
-    x = np.concatenate([S.values.ravel(), mask.ravel()])
-    y = model.forward(x)
-    return ObservationMap(y.reshape(w, w), np.ones((w, w), dtype=np.uint8))
-
-
-def ne_forward(model: MlpModel, S: ObservationMap, D: ObservationMap):
-    """Run the estimation model; returns a unit normal with z >= 0."""
-    w = _model_width(model)
-    if S.width != w or D.width != w:
-        raise ShapeError(f"model expects {w}x{w} maps")
-    x = np.concatenate([S.values.ravel(), D.values.ravel()])
-    n, _, norms = normalize_with_flip(model.forward(x)[None])
-    if norms[0] == 0.0:
-        raise NormalizationError("estimation model produced a zero vector")
-    return n[0]
-
-
-def infer(li: MlpModel, ne: MlpModel, samples: PixelSamples, w: int):
-    """Sparse samples -> (interpolated dense map, estimated normal)."""
-    S = build_observation_map(samples, w)
-    D = li_forward(li, S)
-    return D, ne_forward(ne, S, D)
-
-
 # ---------------------------------------------------------------------------
 # Alternating training
 # ---------------------------------------------------------------------------
 
+# Estimation (g) updates per interpolation (f) update.
+NE_STEPS_PER_LI_STEP = 5
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
     batch_size: int = 128
-    ne_steps_per_li_step: int = 5
     epochs: int = 20
     seed: int = 0
     weights: LossWeights = field(default_factory=LossWeights)
@@ -273,8 +229,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if self.ne_steps_per_li_step < 1:
-            raise ValueError("ne_steps_per_li_step must be >= 1")
 
 
 @dataclass
@@ -444,7 +398,7 @@ def li_objective(li, ne, prep, idx, weights=DEFAULT_WEIGHTS):
 def train_alternating(dataset, cfg: TrainConfig):
     """Alternating Adam optimization of the two models.
 
-    Repeats blocks of `ne_steps_per_li_step` estimation updates followed by
+    Repeats blocks of NE_STEPS_PER_LI_STEP estimation updates followed by
     one interpolation update, drawing minibatches from a reshuffled pass over
     the dataset each epoch.  Fully deterministic for a fixed seed.  Raises
     DivergenceError (with the step index) if a batch loss goes non-finite.
@@ -460,7 +414,7 @@ def train_alternating(dataset, cfg: TrainConfig):
     adam_ne = AdamState.for_model(ne)
     trace = TrainTrace()
     order = np.arange(prep.count)
-    block = cfg.ne_steps_per_li_step + 1
+    block = NE_STEPS_PER_LI_STEP + 1
     step = 0
     for _ in range(cfg.epochs):
         rng.shuffle(order)
@@ -468,14 +422,14 @@ def train_alternating(dataset, cfg: TrainConfig):
         li_losses = []
         for start in range(0, prep.count, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            if step % block < cfg.ne_steps_per_li_step:
+            if step % block < NE_STEPS_PER_LI_STEP:
                 loss, grads = ne_objective_and_grads(li, ne, prep, idx, cfg.weights)
-                adam_step(ne, grads, adam_ne, cfg.learning_rate, cfg.beta1, cfg.beta2)
+                adam_step(ne, grads, adam_ne, cfg.learning_rate)
                 trace.step_kinds.append("ne")
                 ne_losses.append(loss)
             else:
                 loss, grads = li_objective_and_grads(li, ne, prep, idx, cfg.weights)
-                adam_step(li, grads, adam_li, cfg.learning_rate, cfg.beta1, cfg.beta2)
+                adam_step(li, grads, adam_li, cfg.learning_rate)
                 trace.step_kinds.append("li")
                 li_losses.append(loss)
             if not np.isfinite(loss):

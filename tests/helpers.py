@@ -153,8 +153,7 @@ def parent_sample_maps(samples, w):
     return values, (counts > 0).astype(float).reshape(values.shape)
 
 
-def reference_inpaint(values, known, n_hint=None, iterations=None,
-                      mirror_step=True):
+def reference_inpaint(values, known, n_hint=None, mirror_step=True):
     """One map completed by whole-grid passes: nearest-neighbour mirror about
     axis_from_normal(n_hint), 3x3 masked-mean diffusion over the padded grid,
     clip, known cells restored.  A map with no known cell stays zero."""
@@ -175,7 +174,6 @@ def reference_inpaint(values, known, n_hint=None, iterations=None,
         take = ~filled & mirrored_known.reshape(w, w)
         current[take] = mirrored_vals.reshape(w, w)[take]
         filled |= take
-    passes = 0
     while not filled.all():
         padded_v = np.pad(current * filled, 1)
         padded_m = np.pad(filled.astype(float), 1)
@@ -188,12 +186,8 @@ def reference_inpaint(values, known, n_hint=None, iterations=None,
         grow = ~filled & (counts > 0)
         if not grow.any():
             break
-        if iterations is not None and passes >= iterations:
-            current[~filled] = current[filled].mean()
-            break
         current[grow] = sums[grow] / counts[grow]
         filled |= grow
-        passes += 1
     out = np.clip(current, 0.0, 1.0)
     out[known] = values[known]
     return out

@@ -14,6 +14,7 @@ from sparseps.cli import main
 from sparseps.evaluation import read_report
 from sparseps.fileio import read_pgm, read_pfm
 from sparseps.mlp import save_model
+from sparseps.render import Lambertian, render_sphere, save_scene
 from sparseps.solvers import new_li_model, new_ne_model
 
 from helpers import break_checkpoint
@@ -111,6 +112,33 @@ class TestEval:
                      "--out", tmp_path / "r.txt")
         assert status == 1
         assert capsys.readouterr().err.startswith(f"error: {model / 'li.spln'}: ")
+        assert not (tmp_path / "r.txt").exists()
+
+    @pytest.mark.parametrize("model_w,eval_w", [(8, 16), (16, 8)])
+    def test_model_width_mismatch_exits_one(self, scene_dir, tmp_path, capsys,
+                                            model_w, eval_w):
+        model = tmp_path / "model"
+        model.mkdir()
+        rng = np.random.default_rng(45)
+        save_model(new_li_model(model_w, rng, hidden=(4,)), model / "li.spln")
+        save_model(new_ne_model(model_w, rng, hidden=(4,)), model / "ne.spln")
+        status = run("eval", "--scene", scene_dir, "--solver", "trained",
+                     "--model", model, "--w", eval_w, "--trials", 2,
+                     "--out", tmp_path / "r.txt")
+        assert status == 1
+        assert capsys.readouterr().err == (
+            f"error: model f takes {2 * model_w ** 2} inputs, but maps of width "
+            f"{eval_w} give 2*w*w = {2 * eval_w ** 2}\n")
+        assert not (tmp_path / "r.txt").exists()
+
+    def test_coplanar_light_pool_exits_one(self, tmp_path, capsys):
+        t = np.radians([-30.0, -10.0, 10.0, 30.0])
+        lights = np.column_stack([np.sin(t), np.zeros(4), np.cos(t)])
+        save_scene(render_sphere(16, Lambertian(0.8), lights), tmp_path / "scene")
+        status = run("eval", "--scene", tmp_path / "scene", "--lights", 3,
+                     "--trials", 2, "--out", tmp_path / "r.txt")
+        assert status == 1
+        assert capsys.readouterr().err == "error: ls: no trial has a valid pixel\n"
         assert not (tmp_path / "r.txt").exists()
 
     def test_zero_light_row_exits_one(self, scene_dir, tmp_path, capsys):

@@ -36,6 +36,18 @@ def shadow_free_sphere(res=32, pool=120, zenith=30.0, seed=7, albedo=0.8):
     return scene
 
 
+def coplanar_sphere(off_plane):
+    """Lambertian sphere lit by three lights in the x-z plane, plus one off
+    it when off_plane; the mask keeps pixels lit by every light."""
+    t = np.radians([-20.0, 0.0, 20.0])
+    lights = np.column_stack([np.sin(t), np.zeros(3), np.cos(t)])
+    if off_plane:
+        lights = np.vstack([lights, [0.0, np.sin(t[2]), np.cos(t[2])]])
+    scene = render_sphere(16, Lambertian(0.8), lights)
+    scene.mask &= np.all(scene.images > 0, axis=0)
+    return scene
+
+
 def random_points(count, seed, n_lights=10):
     rng = np.random.default_rng(seed)
     points = []
@@ -84,6 +96,25 @@ class TestRunTrials:
         scene = shadow_free_sphere(pool=8)
         with pytest.raises(ValueError):
             run_trials(scene, LsSolver(), TrialConfig(n_lights=10, seed=0))
+
+    @pytest.mark.parametrize("solver", [LsSolver(), InpaintLsSolver(w=8)])
+    def test_coplanar_draws_are_excluded(self, solver):
+        # Of the four three-light draws, the one without the off-plane light
+        # does not span 3D: its trials exclude every pixel and record NaN.
+        scene = coplanar_sphere(off_plane=True)
+        report = run_trials(scene, solver, TrialConfig(n_trials=12, n_lights=3,
+                                                       seed=0))
+        per_trial = report.per_trial_mean_deg
+        degenerate = np.isnan(per_trial)
+        assert 0 < degenerate.sum() < 12
+        assert report.excluded_pixels == degenerate.sum() * scene.mask.sum()
+        assert report.overall_mean_deg == per_trial[~degenerate].mean()
+        assert np.isfinite(report.overall_mean_deg)
+
+    def test_no_trial_with_a_valid_pixel_raises(self):
+        with pytest.raises(SparsePSError, match="ls: no trial has a valid pixel"):
+            run_trials(coplanar_sphere(off_plane=False), LsSolver(),
+                       TrialConfig(n_trials=3, n_lights=3, seed=0))
 
     def test_error_map_zero_outside_mask(self):
         scene = shadow_free_sphere()

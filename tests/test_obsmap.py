@@ -310,7 +310,7 @@ class TestMirror:
 
 
 class TestBatchReflection:
-    """A stack of axes gives what one batch-of-one plan per axis gives."""
+    """A stack of axes gives what one batch of one per axis gives."""
 
     @staticmethod
     def axes(rng):
@@ -334,9 +334,14 @@ class TestBatchReflection:
         else:
             grids = rng.uniform(size=(len(axes), w * w))
         stacked = getattr(BatchReflection(w, axes), method)(grids)
-        single = np.stack([
-            getattr(ReflectionPlan(w, a), method)(g.reshape(w, w)).ravel()
-            for a, g in zip(axes, grids)])
+        if method in ("gather", "gather_nearest"):
+            single = np.stack([
+                getattr(ReflectionPlan(w, a), method)(g.reshape(w, w)).ravel()
+                for a, g in zip(axes, grids)])
+        else:
+            single = np.concatenate([
+                getattr(BatchReflection(w, a[None]), method)(g[None])
+                for a, g in zip(axes, grids)])
         assert stacked.dtype == single.dtype
         np.testing.assert_array_equal(stacked, single)
 

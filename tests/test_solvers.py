@@ -10,6 +10,7 @@ from helpers import (
     reference_inpaint,
     reference_sample_maps,
 )
+from sparseps.evaluation import ModelSolver
 from sparseps.errors import (
     DegenerateLightingError,
     DegenerateSamplesError,
@@ -38,14 +39,11 @@ from sparseps.render import Lambertian, make_dense_gt_map, shade
 from sparseps.solvers import (
     TrainConfig,
     _Prepared,
-    infer,
-    li_forward,
     li_objective,
     li_objective_and_grads,
     ls_normal,
     ls_normal_batch,
     make_training_set,
-    ne_forward,
     ne_objective,
     ne_objective_and_grads,
     new_li_model,
@@ -155,16 +153,6 @@ class TestSymmetryInpaint:
             np.testing.assert_array_equal(out.values[known], values[known])
             assert np.all(out.values >= 0) and np.all(out.values <= 1)
 
-    def test_iteration_cap_still_full(self):
-        w = 32
-        mask = np.zeros((w, w), np.uint8)
-        mask[0, 0] = 1
-        values = np.zeros((w, w))
-        values[0, 0] = 0.5
-        obs = ObservationMap(values, mask)
-        out = symmetry_inpaint(obs, n_hint=Z, iterations=2)
-        assert out.mask.all()
-
     def test_mirror_fill_beats_diffusion_on_sphere_points(self):
         # Paired comparison against the dense-map oracle with the true normal
         # as hint: the mirror step should win on at least 80 of 100 points.
@@ -199,23 +187,20 @@ class TestSymmetryInpaintMaps:
         cls.values, cls.boot = cls.values[keep], boot[keep]
         cls.check = range(0, cls.values.shape[0], 9)
 
-    @pytest.mark.parametrize("mirror_step,iterations",
-                             [(True, None), (False, None), (True, 2), (False, 3)])
-    def test_bit_identical_to_per_map_passes(self, mirror_step, iterations):
+    @pytest.mark.parametrize("mirror_step", [True, False])
+    def test_bit_identical_to_per_map_passes(self, mirror_step):
         axes = axis_from_normal(self.boot) if mirror_step else None
-        dense = symmetry_inpaint_maps(self.values, self.mask, axes, iterations)
+        dense = symmetry_inpaint_maps(self.values, self.mask, axes)
         for p in self.check:
             ref = reference_inpaint(self.values[p], self.mask, self.boot[p],
-                                    iterations, mirror_step)
+                                    mirror_step)
             np.testing.assert_array_equal(dense[p], ref)
             single = symmetry_inpaint(ObservationMap(self.values[p], self.mask),
-                                      n_hint=self.boot[p], iterations=iterations,
-                                      mirror_step=mirror_step)
+                                      n_hint=self.boot[p], mirror_step=mirror_step)
             np.testing.assert_array_equal(single.values, ref)
 
-    @pytest.mark.parametrize("iterations", [None, 2])
     @pytest.mark.parametrize("w", [1, 3, 5, 8, 9, 16, 31])
-    def test_per_map_known_against_reference(self, w, iterations):
+    def test_per_map_known_against_reference(self, w):
         # Each map its own known cells, at odd and even widths, with maps of
         # one known cell and a map of none (which stays zero).
         rng = np.random.default_rng(50 + w)
@@ -231,10 +216,10 @@ class TestSymmetryInpaintMaps:
         normals[5, :2] = [1.0, 1.0]                   # 45 degrees
         for mirror_step in (True, False):
             axes = axis_from_normal(normals) if mirror_step else None
-            dense = symmetry_inpaint_maps(values, known, axes, iterations)
+            dense = symmetry_inpaint_maps(values, known, axes)
             for p in range(m):
                 ref = reference_inpaint(values[p], known[p], normals[p],
-                                        iterations, mirror_step)
+                                        mirror_step)
                 assert dense[p].tobytes() == ref.tobytes(), (p, mirror_step)
         assert not dense[2].any()
 
@@ -245,61 +230,76 @@ class TestSymmetryInpaintMaps:
 
 
 class TestForwards:
+    """f and g through ModelSolver, the one inference path."""
+
+    @staticmethod
+    def trial(rng, m=20):
+        lights = sample_hemisphere_lights(10, 75.0, rng)
+        return lights, rng.uniform(0.0, 1.0, size=(10, m))
+
     def test_li_output_shape_and_range(self):
         rng = np.random.default_rng(6)
         model = new_li_model(8, rng, hidden=(16, 16))
-        obs = ObservationMap(rng.uniform(0, 1, (8, 8)),
-                             (rng.uniform(size=(8, 8)) < 0.2).astype(np.uint8))
-        out = li_forward(model, obs)
-        assert out.width == 8
-        assert out.mask.all()
-        assert np.all(out.values > 0) and np.all(out.values < 1)
+        x = np.concatenate([rng.uniform(0, 1, (5, 64)),
+                            (rng.uniform(size=(5, 64)) < 0.2)], axis=1)
+        out = model.forward(x)
+        assert out.shape == (5, 64)
+        assert np.all(out > 0) and np.all(out < 1)
 
     def test_li_zero_weight_model_constant(self):
         w = 4
         layers = [DenseLayer(np.zeros((w * w, 2 * w * w)),
                              np.full(w * w, 0.3), "sigmoid")]
         model = MlpModel(layers)
-        obs = ObservationMap(np.random.default_rng(7).uniform(0, 1, (w, w)),
-                             np.ones((w, w), np.uint8))
-        out = li_forward(model, obs)
-        np.testing.assert_allclose(out.values, 1.0 / (1.0 + np.exp(-0.3)))
+        x = np.random.default_rng(7).uniform(0, 1, (3, 2 * w * w))
+        np.testing.assert_allclose(model.forward(x), 1.0 / (1.0 + np.exp(-0.3)))
+
+    @staticmethod
+    def assert_width_mismatch(li_w, ne_w, tag):
+        rng = np.random.default_rng(8)
+        li = new_li_model(li_w, rng, hidden=(4,))
+        ne = new_ne_model(ne_w, rng, hidden=(4,))
+        with pytest.raises(ShapeError, match=f"model {tag} takes 512 inputs, "
+                           "but maps of width 8 give 2\\*w\\*w = 128"):
+            ModelSolver(li, ne, w=8)
 
     def test_li_dimension_mismatch(self):
-        rng = np.random.default_rng(8)
-        model = new_li_model(8, rng, hidden=(4,))
-        obs = ObservationMap(np.zeros((16, 16)) + 0.1,
-                             np.ones((16, 16), np.uint8))
-        with pytest.raises(ShapeError):
-            li_forward(model, obs)
+        self.assert_width_mismatch(16, 8, "f")
+
+    def test_ne_dimension_mismatch(self):
+        self.assert_width_mismatch(8, 16, "g")
 
     def test_li_deterministic(self):
         rng = np.random.default_rng(9)
-        model = new_li_model(8, rng, hidden=(8,))
-        obs = ObservationMap(rng.uniform(0, 1, (8, 8)), np.ones((8, 8), np.uint8))
-        a = li_forward(model, obs).values
-        b = li_forward(model, obs).values
-        np.testing.assert_array_equal(a, b)
+        solver = ModelSolver(new_li_model(8, rng, hidden=(8,)),
+                             new_ne_model(8, rng, hidden=(8,)), w=8)
+        lights, irr = self.trial(rng)
+        a, valid_a = solver.solve_batch(lights, irr)
+        b, valid_b = solver.solve_batch(lights, irr)
+        assert a.tobytes() == b.tobytes()
+        np.testing.assert_array_equal(valid_a, valid_b)
 
     def test_ne_output_unit_upper_hemisphere(self):
         rng = np.random.default_rng(10)
-        model = new_ne_model(8, rng, hidden=(8, 8))
-        for layer in model.layers:
+        li = new_li_model(8, rng, hidden=(8,))
+        ne = new_ne_model(8, rng, hidden=(8, 8))
+        for layer in ne.layers:
             layer.bias += rng.normal(0, 0.1, layer.bias.shape)
-        for _ in range(20):
-            s = ObservationMap(rng.uniform(0, 1, (8, 8)), np.ones((8, 8), np.uint8))
-            d = ObservationMap(rng.uniform(0, 1, (8, 8)), np.ones((8, 8), np.uint8))
-            n = ne_forward(model, s, d)
-            assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-12)
-            assert n[2] >= 0
+        lights, irr = self.trial(rng)
+        normals, valid = ModelSolver(li, ne, w=8).solve_batch(lights, irr)
+        assert valid.all()
+        np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-12)
+        assert np.all(normals[:, 2] >= 0)
 
-    def test_ne_zero_output_raises(self):
+    def test_ne_zero_output_gives_invalid_pixel(self):
         w = 4
-        model = MlpModel([DenseLayer(np.zeros((3, 2 * w * w)), np.zeros(3),
-                                     "linear")])
-        obs = ObservationMap(np.full((w, w), 0.5), np.ones((w, w), np.uint8))
-        with pytest.raises(NormalizationError):
-            ne_forward(model, obs, obs)
+        li = new_li_model(w, np.random.default_rng(11), hidden=(4,))
+        ne = MlpModel([DenseLayer(np.zeros((3, 2 * w * w)), np.zeros(3),
+                                  "linear")])
+        lights, irr = self.trial(np.random.default_rng(12), m=3)
+        normals, valid = ModelSolver(li, ne, w=w).solve_batch(lights, irr)
+        assert not valid.any()
+        np.testing.assert_array_equal(normals, 0.0)
 
 
 class TestMlpModel:
@@ -319,8 +319,8 @@ class TestMlpModel:
         # Relative to each output vector: a linear output near zero cancels.
         assert (np.linalg.norm(got - dense, axis=1)
                 <= 1e-13 * np.linalg.norm(dense, axis=1)).all()
-        one = small.forward(x[0, cols])
-        assert np.linalg.norm(one - dense[0]) <= 1e-13 * np.linalg.norm(dense[0])
+        one = small.forward(x[:1, cols])
+        assert np.linalg.norm(one - dense[:1]) <= 1e-13 * np.linalg.norm(dense[0])
 
     @pytest.mark.parametrize("make", [new_li_model, new_ne_model])
     def test_backward_without_input_grad_keeps_param_grads(self, make):
@@ -510,10 +510,10 @@ class TestInferAndCheckpoints:
             layer.bias += rng.normal(0, 0.1, layer.bias.shape)
         lights = sample_hemisphere_lights(10, 75.0, rng)
         irr = shade(normalize([0.2, 0.1, 0.97]), lights, Lambertian(0.8))
-        d, n = infer(li, ne, PixelSamples(lights, irr), w)
-        assert d.mask.all()
-        assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-12)
-        assert n[2] >= 0
+        normals, valid = ModelSolver(li, ne, w=w).solve_batch(lights, irr[:, None])
+        assert normals.shape == (1, 3) and valid.tolist() == [True]
+        assert np.linalg.norm(normals[0]) == pytest.approx(1.0, abs=1e-12)
+        assert normals[0, 2] >= 0
 
     def test_checkpoint_round_trip(self, tmp_path):
         rng = np.random.default_rng(35)
