@@ -130,6 +130,29 @@ def reflections(w, axes):
     return BatchReflection(w, axes), BatchReflection(w // 2, axes)
 
 
+# Batch rows per block of a training step's symmetry terms, whose (ROWS, w*w)
+# temporaries then stay in cache; chosen by a sweep (README, "Performance").
+ROWS = 8
+
+
+def row_blocks(batch, block):
+    """The arrays of block(rows), one row per row of the slice, for slices
+    of ROWS rows (one empty slice for an empty batch), written into arrays
+    of `batch` rows.  SymmetryTerms reads each map's row alone (sums along
+    it, mirror reads and scatters in its own padded block), so its blocks
+    carry the bits of a whole-batch call.
+    """
+    outs = None
+    for lo in range(0, max(batch, 1), ROWS):
+        rows = slice(lo, lo + ROWS)
+        parts = block(rows)
+        if outs is None:
+            outs = [np.empty((batch,) + p.shape[1:], p.dtype) for p in parts]
+        for out, part in zip(outs, parts):
+            out[rows] = part
+    return outs
+
+
 def dpsi_dn(n):
     """Gradient of the axis angle psi = atan2(n_y, n_x) w.r.t. each normal
     of a stack (B, 3); zero rows where the axis falls back to (1, 0)."""

@@ -162,39 +162,54 @@ class AdamState:
         return state
 
 
+# Elements per chunk of an Adam update, whose six float64 operands (768 KiB)
+# then stay in cache; chosen by a sweep (README, "Performance").
+ADAM_CHUNK = 16384
+
+
 def adam_step(model: MlpModel, grads, state: AdamState, lr,
               beta1=0.9, beta2=0.999, eps=1e-8):
     """One Adam update in place; grads is the list produced by backward.
 
     Computes param -= lr * (m / c1) / (sqrt(v / c2) + eps), with c1, c2 the
-    bias corrections, in place through two buffers per parameter made for
-    the call; each product and quotient is the one the textbook expression
-    evaluates, in the same order, so parameters carry the same bits as
-    without the buffers.
+    bias corrections, in place, ADAM_CHUNK elements of each flattened
+    parameter at a time through two scratch buffers made once per call;
+    each product and quotient is the one the textbook expression evaluates,
+    in the same order, so parameters carry the same bits as without the
+    buffers.  Raises ValueError, before updating anything, when a parameter
+    or moment is not C-contiguous: its flattened chunks would be copies.
     """
+    pairs = [(param, grad, state.m[i][j], state.v[i][j])
+             for i, layer in enumerate(model.layers)
+             for j, (param, grad) in enumerate(((layer.weights, grads[i][0]),
+                                                (layer.bias, grads[i][1])))]
+    if not all(x.flags.c_contiguous for param, _, m, v in pairs
+               for x in (param, m, v)):
+        raise ValueError("adam_step needs C-contiguous parameters and moments")
     state.step += 1
     t = state.step
     correct1 = 1.0 - beta1 ** t
     correct2 = 1.0 - beta2 ** t
-    for i, layer in enumerate(model.layers):
-        for j, (param, grad) in enumerate(((layer.weights, grads[i][0]),
-                                           (layer.bias, grads[i][1]))):
-            m = state.m[i][j]
-            v = state.v[i][j]
-            a = grad * (1.0 - beta1)
-            m *= beta1
-            m += a
-            v *= beta2
-            np.multiply(grad, 1.0 - beta2, out=a)
-            a *= grad
-            v += a
-            np.divide(v, correct2, out=a)
+    scratch = np.empty((2, ADAM_CHUNK))
+    for param, grad, m, v in pairs:
+        flat = [x.reshape(-1) for x in (param, grad, m, v)]
+        for lo in range(0, param.size, ADAM_CHUNK):
+            p, g, mc, vc = (x[lo:lo + ADAM_CHUNK] for x in flat)
+            a, b = scratch[:, :p.size]
+            np.multiply(g, 1.0 - beta1, out=a)
+            mc *= beta1
+            mc += a
+            vc *= beta2
+            np.multiply(g, 1.0 - beta2, out=a)
+            a *= g
+            vc += a
+            np.divide(vc, correct2, out=a)
             np.sqrt(a, out=a)
             a += eps
-            b = m / correct1
+            np.divide(mc, correct1, out=b)
             b *= lr
             b /= a
-            param -= b
+            p -= b
 
 
 def save_model(model: MlpModel, path):

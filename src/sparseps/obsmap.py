@@ -163,8 +163,9 @@ def build_sample_maps(samples, w):
     samples is a sequence of PixelSamples, whose light counts may differ.
     Every value carries the bits build_observation_map gives its point; only
     the occupied cells, about 1% of them under ten lights, are averaged and
-    divided by the peak.  Returns (values, mask), each (len(samples), w*w)
-    float: the maps flattened row by row and their occupancy as 0/1.  Raises
+    divided by the peak.  Returns (values, mask), each (len(samples), w*w):
+    the maps flattened row by row, float, and their occupancy as uint8 0/1,
+    which concatenate and multiply into float64 as a float mask does.  Raises
     DegenerateSamplesError when a point's irradiance is all zero.
     """
     sizes = [len(s) for s in samples]
@@ -180,8 +181,8 @@ def build_sample_maps(samples, w):
     means /= peak[occupied // size]
     values = np.zeros((len(samples), size))
     values.reshape(-1)[occupied] = means
-    mask = np.zeros(values.shape)
-    mask.reshape(-1)[occupied] = 1.0
+    mask = np.zeros(values.shape, dtype=np.uint8)
+    mask.reshape(-1)[occupied] = 1
     return values, mask
 
 

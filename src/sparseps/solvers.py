@@ -33,6 +33,7 @@ from .losses import (
     _sign,
     dpsi_dn,
     reflections,
+    row_blocks,
 )
 from .mlp import AdamState, MlpModel, adam_step, init_model
 from .obsmap import (
@@ -255,9 +256,9 @@ class TrainTrace:
 class _Prepared:
     """Dataset tensors shared by every training step.
 
-    The sparse maps s_flat and their masks m_flat come from one scatter over
-    all samples (obsmap.build_sample_maps), bit-identical to building each
-    sample's map on its own.
+    The sparse maps s_flat and their masks m_flat (uint8 0/1) come from one
+    scatter over all samples (obsmap.build_sample_maps), bit-identical to
+    building each sample's map on its own.
     """
 
     def __init__(self, dataset, w):
@@ -309,17 +310,22 @@ def ne_objective_and_grads(li: MlpModel, ne: MlpModel, prep: _Prepared, idx,
     n, flip, norms = _normalize_training(u)
     n_gt = prep.n_gt[idx]
     angles, recon_g = _recon_terms_batch(n, n_gt)
+    axes = axis_from_normal(n)
 
-    refl = reflections(prep.w, axis_from_normal(n))
-    terms = SymmetryTerms(prep.d_gt_flat[idx], *refl, weights,
-                          pooled=prep.d_gt_pooled_flat[idx])
-    d_sym, d_asym = terms.angle_grads()
-    dpsi = weights.lambda_s * d_sym + weights.lambda_a * d_asym
+    def block(rows):
+        sub = idx[rows]
+        terms = SymmetryTerms(prep.d_gt_flat[sub], *reflections(prep.w, axes[rows]),
+                              weights, pooled=prep.d_gt_pooled_flat[sub])
+        d_sym, d_asym = terms.angle_grads()
+        return (terms.sym, terms.asym,
+                weights.lambda_s * d_sym + weights.lambda_a * d_asym)
+
+    sym, asym, dpsi = row_blocks(batch, block)
     g_n = dpsi[:, None] * dpsi_dn(n)
     g_tan = g_n - n * np.sum(n * g_n, axis=1)[:, None] + recon_g
     grad_u = flip[:, None] * g_tan / norms[:, None]
-    total = float(np.mean(angles + weights.lambda_s * terms.sym
-                          + weights.lambda_a * terms.asym))
+    total = float(np.mean(angles + weights.lambda_s * sym
+                          + weights.lambda_a * asym))
     param_grads, _ = ne.backward(cache, grad_u / batch, want_input_grad=False)
     return total, param_grads
 
@@ -340,24 +346,29 @@ def li_objective_and_grads(li: MlpModel, ne: MlpModel, prep: _Prepared, idx,
     n_gt = prep.n_gt[idx]
     angles, recon_g = _recon_terms_batch(n, n_gt)
     grad_u = flip[:, None] * recon_g / norms[:, None]
+    _, grad_x_ne = ne.backward(cache_ne, grad_u, want_param_grads=False)
 
     batch = len(idx)
     w = prep.w
-    diff = d_flat - prep.d_gt_flat[idx]
-    m_s = prep.m_flat[idx]
-    l1 = np.abs(diff).sum(axis=1)
-    masked = np.abs(m_s * diff).sum(axis=1)
 
-    terms = SymmetryTerms(d_flat, *reflections(w, prep.gt_axes[idx]), weights)
-    g_sym, g_asym = terms.value_grads()
-    s = _sign(diff)
-    grad_d = s + m_s * s + weights.lambda_s * g_sym + weights.lambda_a * g_asym
-    _, grad_x_ne = ne.backward(cache_ne, grad_u, want_param_grads=False)
-    grad_d = grad_d + grad_x_ne[:, w * w:]
-    total = float(np.mean(angles + l1 + masked + weights.lambda_s * terms.sym
-                          + weights.lambda_a * terms.asym))
-    param_grads, _ = li.backward(cache_li, grad_d / batch,
-                                 want_input_grad=False)
+    def block(rows):
+        sub = idx[rows]
+        d = d_flat[rows]
+        diff = d - prep.d_gt_flat[sub]
+        m_s = prep.m_flat[sub]
+        terms = SymmetryTerms(d, *reflections(w, prep.gt_axes[sub]), weights)
+        g_sym, g_asym = terms.value_grads()
+        s = _sign(diff)
+        grad_d = s + m_s * s + weights.lambda_s * g_sym + weights.lambda_a * g_asym
+        grad_d += grad_x_ne[rows, w * w:]
+        grad_d /= batch
+        return (np.abs(diff).sum(axis=1), np.abs(m_s * diff).sum(axis=1),
+                terms.sym, terms.asym, grad_d)
+
+    l1, masked, sym, asym, grad_d = row_blocks(batch, block)
+    total = float(np.mean(angles + l1 + masked + weights.lambda_s * sym
+                          + weights.lambda_a * asym))
+    param_grads, _ = li.backward(cache_li, grad_d, want_input_grad=False)
     return total, param_grads
 
 

@@ -12,7 +12,10 @@ from helpers import (
 from sparseps.errors import ShapeError
 from sparseps.geometry import normalize
 from sparseps.losses import (
+    ROWS,
     LossWeights,
+    SymmetryTerms,
+    _pool_quarter,
     asym_loss,
     asym_loss_normal_grad,
     finite_diff_check,
@@ -21,10 +24,12 @@ from sparseps.losses import (
     li_total_loss,
     ne_recon_loss,
     ne_total_loss,
+    reflections,
+    row_blocks,
     sym_loss,
     sym_loss_normal_grad,
 )
-from sparseps.obsmap import ObservationMap, avg_pool, mirror
+from sparseps.obsmap import ObservationMap, avg_pool, axis_from_normal, mirror
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -277,3 +282,34 @@ class TestMirrorConsistency:
         obs, n = sample_margin_instance(rng, w=16, margin=0.0)
         expected = np.abs(obs.values - mirror(obs, n).values).sum()
         assert sym_loss(obs, n) == pytest.approx(expected, rel=1e-12)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("batch", [1, ROWS - 1, ROWS + 1, 128, 129])
+    @pytest.mark.parametrize("w", [32, 16])
+    def test_blocks_equal_one_whole_batch_call(self, w, batch):
+        # Both training uses: g's terms on given pooled maps with angle
+        # gradients, f's with pooling inside and value gradients.
+        rng = np.random.default_rng(1000 * w + batch)
+        values = rng.uniform(size=(batch, w * w))
+        values[:, ::5] = 0.0
+        normals = rng.normal(size=(batch, 3))
+        normals[::3, :2] = 0.0                 # axis falls back to (1, 0)
+        normals[1::4, 1] = 0.0                 # axis-aligned mirror
+        axes = axis_from_normal(normals)
+        pooled = _pool_quarter(values, w)
+        weights = LossWeights()
+
+        def results(rows):
+            refl = reflections(w, axes[rows])
+            g = SymmetryTerms(values[rows], *refl, weights, pooled=pooled[rows])
+            f = SymmetryTerms(values[rows], *refl, weights)
+            return (g.sym, g.asym, *g.angle_grads(),
+                    f.sym, f.asym, *f.value_grads())
+
+        got = row_blocks(batch, results)
+        want = results(slice(None))
+        assert len(got) == len(want) == 8
+        for k, (a, b) in enumerate(zip(got, want)):
+            assert a.dtype == b.dtype and a.shape == b.shape, k
+            assert a.tobytes() == b.tobytes(), k

@@ -20,10 +20,12 @@ from sparseps.errors import (
 from sparseps.geometry import normalize, sample_hemisphere_lights
 from sparseps.losses import LossWeights
 from sparseps.mlp import (
+    ADAM_CHUNK,
     AdamState,
     DenseLayer,
     MlpModel,
     adam_step,
+    init_model,
     load_model,
     save_model,
 )
@@ -462,7 +464,7 @@ class TestTraining:
         prep = _Prepared(dataset, 16)
         values, mask = reference_sample_maps([s for s, _, _ in dataset], 16)
         assert prep.s_flat.tobytes() == values.tobytes()
-        assert prep.m_flat.tobytes() == mask.tobytes()
+        assert prep.m_flat.tobytes() == mask.astype(np.uint8).tobytes()
 
     def test_prepared_rejects_all_zero_sample(self):
         dataset = self._tiny_dataset(4, 8, seed=38)
@@ -471,12 +473,21 @@ class TestTraining:
         with pytest.raises(DegenerateSamplesError):
             _Prepared(dataset, 8)
 
-    @pytest.mark.parametrize("make", [new_li_model, new_ne_model])
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda rng: new_li_model(16, rng), id="new_li_model"),
+        pytest.param(lambda rng: new_ne_model(16, rng), id="new_ne_model"),
+        # The default f at w = 32: 854k parameters, 52 chunks.
+        pytest.param(lambda rng: new_li_model(32, rng), id="new_li_model_w32"),
+        # Weights of 2 * ADAM_CHUNK + 643 elements: a short last chunk.
+        pytest.param(lambda rng: init_model([ADAM_CHUNK // 64 + 3, 129, 5],
+                                            ["relu", "linear"], rng),
+                     id="short_last_chunk"),
+    ])
     def test_adam_step_matches_textbook_formula(self, make):
-        # Five steps on default-size f and g, each against Adam with its
-        # m_hat and v_hat temporaries, bit for bit.
+        # Five steps, each against Adam with its m_hat and v_hat
+        # temporaries, bit for bit.
         rng = np.random.default_rng(39)
-        model = make(16, rng)
+        model = make(rng)
         reference = MlpModel([DenseLayer(l.weights.copy(), l.bias.copy(),
                                          l.activation) for l in model.layers])
         state = AdamState.for_model(model)
@@ -494,6 +505,27 @@ class TestTraining:
         for pairs, ref_pairs in ((state.m, ref_state.m), (state.v, ref_state.v)):
             for got, want in zip(pairs, ref_pairs):
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("which", ["weights", "m", "v"])
+    def test_adam_step_rejects_non_contiguous_arrays(self, which):
+        # A flat chunk of a Fortran-ordered array would be a copy, and the
+        # update would be lost; nothing is updated before the error.
+        rng = np.random.default_rng(40)
+        model = new_ne_model(8, rng)
+        state = AdamState.for_model(model)
+        grads = [(np.ones_like(l.weights), np.ones_like(l.bias))
+                 for l in model.layers]
+        if which == "weights":
+            model.layers[1].weights = np.asfortranarray(model.layers[1].weights)
+        else:
+            moments = getattr(state, which)
+            moments[1] = (np.asfortranarray(moments[1][0]), moments[1][1])
+        before = [l.weights.copy() for l in model.layers]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            adam_step(model, grads, state, 1e-3)
+        assert state.step == 0
+        for layer, weights in zip(model.layers, before):
+            assert layer.weights.tobytes() == weights.tobytes()
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
