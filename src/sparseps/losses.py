@@ -56,7 +56,7 @@ def _upsample_quarter(grids, half):
     """Adjoint of _pool_quarter: spread each cell over its 2 x 2 block / 4."""
     out = grids.reshape(-1, half, half)
     out = np.repeat(np.repeat(out, 2, axis=1), 2, axis=2) / 4.0
-    return out.reshape(grids.shape[0], -1)
+    return out.reshape(len(grids), 4 * half * half)
 
 
 class MirrorResidual:

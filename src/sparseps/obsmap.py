@@ -158,14 +158,12 @@ def build_observation_maps(lights, irradiance_matrix, w):
 
 
 def build_sample_maps(samples, w):
-    """Maps of many points, each with its own lights, built in one scatter.
+    """The occupied cells of many points' maps, each with its own lights.
 
     samples is a sequence of PixelSamples, whose light counts may differ.
-    Every value carries the bits build_observation_map gives its point; only
-    the occupied cells, about 1% of them under ten lights, are averaged and
-    divided by the peak.  Returns (values, mask), each (len(samples), w*w):
-    the maps flattened row by row, float, and their occupancy as uint8 0/1,
-    which concatenate and multiply into float64 as a float mask does.  Raises
+    Returns (cells, values): cells (n,), increasing, index the stacked flat
+    maps (i * w*w + row * w + col), and each value carries the bits
+    build_observation_map gives its point; every other cell is zero.  Raises
     DegenerateSamplesError when a point's irradiance is all zero.
     """
     sizes = [len(s) for s in samples]
@@ -179,11 +177,7 @@ def build_sample_maps(samples, w):
         raise DegenerateSamplesError(
             f"sample {np.argmin(peak > 0.0)}: all sample irradiance values are zero")
     means /= peak[occupied // size]
-    values = np.zeros((len(samples), size))
-    values.reshape(-1)[occupied] = means
-    mask = np.zeros(values.shape, dtype=np.uint8)
-    mask.reshape(-1)[occupied] = 1
-    return values, mask
+    return occupied, means
 
 
 def build_observation_map(samples: PixelSamples, w: int) -> ObservationMap:

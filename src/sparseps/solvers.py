@@ -253,24 +253,74 @@ class TrainTrace:
         return self.step_kinds.count("li")
 
 
+class _SparseRows:
+    """A (count, size) stack, zero outside a few cells of each row, kept as
+    cells and values (count, k): each row's occupied cells, the last one
+    repeated as padding (scattering its value twice), and their values.
+    Indexing hands out dense rows: zeros with the values scattered in."""
+
+    def __init__(self, flat, values, count, size):
+        counts = np.bincount(flat // size, minlength=count)
+        starts = np.cumsum(counts) - counts
+        pick = starts[:, None] + np.minimum(np.arange(counts.max()), counts[:, None] - 1)
+        self.cells = (flat % size)[pick]
+        self.values = values[pick]
+        self.size = size
+
+    def __getitem__(self, idx):
+        cells = self.cells[idx]
+        out = np.zeros(cells.shape[:-1] + (self.size,), self.values.dtype)
+        np.put_along_axis(out, cells, self.values[idx], axis=-1)
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self[:], dtype=dtype)
+
+
+class _SharedRows:
+    """A (count, n) stack kept as its distinct rows, table, and each row's
+    place among them, row: indexing hands out table[row[idx]]."""
+
+    def __init__(self, table, row):
+        self.table, self.row = table, row
+
+    def __getitem__(self, idx):
+        return self.table[self.row[idx]]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self[:], dtype=dtype)
+
+
 class _Prepared:
     """Dataset tensors shared by every training step.
 
-    The sparse maps s_flat and their masks m_flat (uint8 0/1) come from one
-    scatter over all samples (obsmap.build_sample_maps), bit-identical to
-    building each sample's map on its own.
+    The sparse maps s_flat and their masks m_flat (uint8 0/1) keep each
+    sample's occupied cells (obsmap.build_sample_maps); the reference maps
+    keep one row per map object, which make_training_set shares among a
+    point's draws.  Indexed, each hands out the bits of dense rows.
     """
 
     def __init__(self, dataset, w):
-        self.s_flat, self.m_flat = build_sample_maps(
-            [samples for samples, _, _ in dataset], w)
+        self.count = len(dataset)
+        cells, values = build_sample_maps([samples for samples, _, _ in dataset], w)
+        self.s_flat = _SparseRows(cells, values, self.count, w * w)
+        self.m_flat = _SparseRows(cells, np.ones(cells.size, np.uint8), self.count, w * w)
         self.n_gt = np.stack([np.asarray(n, dtype=float) for _, n, _ in dataset])
         self.d_gt = [d for _, _, d in dataset]
-        self.d_gt_flat = np.stack([d.values.ravel() for d in self.d_gt])
-        self.d_gt_pooled_flat = _pool_quarter(self.d_gt_flat, w)
+        maps = {}
+        point = np.array([maps.setdefault(id(d), (len(maps), d))[0] for d in self.d_gt])
+        table = np.stack([d.values.ravel() for _, d in maps.values()])
+        self.d_gt_flat = _SharedRows(table, point)
+        self.d_gt_pooled_flat = _SharedRows(_pool_quarter(table, w), point)
         self.gt_axes = axis_from_normal(self.n_gt)
         self.w = w
-        self.count = len(dataset)
+
+
+def _batch_maps(prep, idx):
+    """The batch's sparse maps and masks, gathered once."""
+    if len(idx) == 0:
+        raise ValueError("empty batch: idx selects no samples")
+    return prep.s_flat[idx], prep.m_flat[idx]
 
 
 def _normalize_training(u):
@@ -302,10 +352,9 @@ def ne_objective_and_grads(li: MlpModel, ne: MlpModel, prep: _Prepared, idx,
     about the predicted normal, so their gradients flow through the mirror
     axis angle.
     """
-    x_li = np.concatenate([prep.s_flat[idx], prep.m_flat[idx]], axis=1)
-    d_flat = li.forward(x_li)
-    x_ne = np.concatenate([prep.s_flat[idx], d_flat], axis=1)
-    u, cache = ne.forward_trace(x_ne)
+    s_b, m_b = _batch_maps(prep, idx)
+    d_flat = li.forward(np.concatenate([s_b, m_b], axis=1))
+    u, cache = ne.forward_trace(np.concatenate([s_b, d_flat], axis=1))
     batch = len(idx)
     n, flip, norms = _normalize_training(u)
     n_gt = prep.n_gt[idx]
@@ -338,10 +387,9 @@ def li_objective_and_grads(li: MlpModel, ne: MlpModel, prep: _Prepared, idx,
     through it into the generated map; the symmetry terms are evaluated on
     the generated map about the ground-truth normal's axis.
     """
-    x_li = np.concatenate([prep.s_flat[idx], prep.m_flat[idx]], axis=1)
-    d_flat, cache_li = li.forward_trace(x_li)
-    x_ne = np.concatenate([prep.s_flat[idx], d_flat], axis=1)
-    u, cache_ne = ne.forward_trace(x_ne)
+    s_b, m_b = _batch_maps(prep, idx)
+    d_flat, cache_li = li.forward_trace(np.concatenate([s_b, m_b], axis=1))
+    u, cache_ne = ne.forward_trace(np.concatenate([s_b, d_flat], axis=1))
     n, flip, norms = _normalize_training(u)
     n_gt = prep.n_gt[idx]
     angles, recon_g = _recon_terms_batch(n, n_gt)
@@ -355,7 +403,7 @@ def li_objective_and_grads(li: MlpModel, ne: MlpModel, prep: _Prepared, idx,
         sub = idx[rows]
         d = d_flat[rows]
         diff = d - prep.d_gt_flat[sub]
-        m_s = prep.m_flat[sub]
+        m_s = m_b[rows]
         terms = SymmetryTerms(d, *reflections(w, prep.gt_axes[sub]), weights)
         g_sym, g_asym = terms.value_grads()
         s = _sign(diff)
@@ -377,10 +425,9 @@ def ne_objective(li, ne, prep, idx, weights=DEFAULT_WEIGHTS):
     public loss functions (the independent route for gradient checks)."""
     from .losses import ne_total_loss
 
-    x_li = np.concatenate([prep.s_flat[idx], prep.m_flat[idx]], axis=1)
-    d_flat = li.forward(x_li)
-    x_ne = np.concatenate([prep.s_flat[idx], d_flat], axis=1)
-    n, _, _ = _normalize_training(ne.forward(x_ne))
+    s_b, m_b = _batch_maps(prep, idx)
+    d_flat = li.forward(np.concatenate([s_b, m_b], axis=1))
+    n, _, _ = _normalize_training(ne.forward(np.concatenate([s_b, d_flat], axis=1)))
     total = 0.0
     for j, i in enumerate(idx):
         total += ne_total_loss(n[j], prep.n_gt[i], prep.d_gt[i], weights)
@@ -392,10 +439,9 @@ def li_objective(li, ne, prep, idx, weights=DEFAULT_WEIGHTS):
     public loss functions (the independent route for gradient checks)."""
     from .losses import li_total_loss
 
-    x_li = np.concatenate([prep.s_flat[idx], prep.m_flat[idx]], axis=1)
-    d_flat = li.forward(x_li)
-    x_ne = np.concatenate([prep.s_flat[idx], d_flat], axis=1)
-    n, _, _ = _normalize_training(ne.forward(x_ne))
+    s_b, m_b = _batch_maps(prep, idx)
+    d_flat = li.forward(np.concatenate([s_b, m_b], axis=1))
+    n, _, _ = _normalize_training(ne.forward(np.concatenate([s_b, d_flat], axis=1)))
     w = prep.w
     total = 0.0
     for j, i in enumerate(idx):

@@ -16,6 +16,7 @@ from sparseps.losses import (
     LossWeights,
     SymmetryTerms,
     _pool_quarter,
+    _upsample_quarter,
     asym_loss,
     asym_loss_normal_grad,
     finite_diff_check,
@@ -313,3 +314,7 @@ class TestRowBlocks:
         for k, (a, b) in enumerate(zip(got, want)):
             assert a.dtype == b.dtype and a.shape == b.shape, k
             assert a.tobytes() == b.tobytes(), k
+
+    def test_pool_and_upsample_an_empty_stack(self):
+        assert _pool_quarter(np.zeros((0, 8 * 8)), 8).shape == (0, 4 * 4)
+        assert _upsample_quarter(np.zeros((0, 4 * 4)), 4).shape == (0, 8 * 8)

@@ -36,6 +36,17 @@ from sparseps.obsmap import (
 )
 
 
+def scattered_sample_maps(samples, w):
+    """build_sample_maps' occupied cells and values scattered into zeroed
+    (len(samples), w*w) maps and uint8 0/1 masks."""
+    cells, sparse = build_sample_maps(samples, w)
+    values = np.zeros((len(samples), w * w))
+    values.reshape(-1)[cells] = sparse
+    mask = np.zeros(values.shape, np.uint8)
+    mask.reshape(-1)[cells] = 1
+    return values, mask
+
+
 def random_map(w, rng, density=1.0):
     values = rng.uniform(0.0, 1.0, size=(w, w))
     mask = (rng.uniform(size=(w, w)) < density).astype(np.uint8)
@@ -204,7 +215,7 @@ class TestOccupiedCells:
         samples.append(PixelSamples([[0.1, 0.1, 0.99], [0.1001, 0.1001, 0.99]],
                                     [0.3, 0.7]))
         for w in (4, 8, 32):
-            got = build_sample_maps(samples, w)
+            got = scattered_sample_maps(samples, w)
             # The reference builds float masks; the program's are 0/1 bytes.
             values, mask = parent_sample_maps(samples, w)
             want = values, mask.astype(np.uint8)
@@ -461,7 +472,8 @@ class TestMirrorFill:
 
 
 class TestBuildSampleMaps:
-    """Training maps, each with its own lights, from one scatter."""
+    """The occupied cells of training maps, each with its own lights, found
+    in one pass."""
 
     @staticmethod
     def samples(rng, counts):
@@ -478,7 +490,7 @@ class TestBuildSampleMaps:
         samples.append(PixelSamples([[0.1, 0.1, 0.99], [0.1001, 0.1001, 0.99],
                                      [0.5, 0.0, 0.866]], [0.3, 0.7, 0.2]))
         for w in (4, 8, 32):
-            values, mask = build_sample_maps(samples, w)
+            values, mask = scattered_sample_maps(samples, w)
             ref_values, ref_mask = reference_sample_maps(samples, w)
             assert values.tobytes() == ref_values.tobytes()
             assert mask.dtype == np.uint8
@@ -487,7 +499,8 @@ class TestBuildSampleMaps:
                 one = build_observation_map(s, w)
                 assert v.tobytes() == one.values.ravel().tobytes()
                 np.testing.assert_array_equal(m, one.mask.ravel())
-        values, mask = build_sample_maps(samples, 32)
+        cells, _ = build_sample_maps(samples, 32)
+        assert (np.diff(cells) > 0).all() and cells.size == mask.sum()
         row, col = project_light([0.1, 0.1, 0.99], 32)
         assert project_light([0.1001, 0.1001, 0.99], 32) == (row, col)
         assert mask[-1].sum() == 2

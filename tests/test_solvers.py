@@ -1,5 +1,7 @@
 """Tests for the LS baseline, inpainting, models, and alternating training."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from sparseps.errors import (
     ShapeError,
 )
 from sparseps.geometry import normalize, sample_hemisphere_lights
-from sparseps.losses import LossWeights
+from sparseps.losses import ROWS, LossWeights
 from sparseps.mlp import (
     ADAM_CHUNK,
     AdamState,
@@ -463,8 +465,8 @@ class TestTraining:
                         dataset[0][1], dataset[0][2]))
         prep = _Prepared(dataset, 16)
         values, mask = reference_sample_maps([s for s, _, _ in dataset], 16)
-        assert prep.s_flat.tobytes() == values.tobytes()
-        assert prep.m_flat.tobytes() == mask.astype(np.uint8).tobytes()
+        assert np.asarray(prep.s_flat).tobytes() == values.tobytes()
+        assert np.asarray(prep.m_flat).tobytes() == mask.astype(np.uint8).tobytes()
 
     def test_prepared_rejects_all_zero_sample(self):
         dataset = self._tiny_dataset(4, 8, seed=38)
@@ -472,6 +474,66 @@ class TestTraining:
         dataset[2] = (PixelSamples(samples.lights, np.zeros(len(samples))), n, d_gt)
         with pytest.raises(DegenerateSamplesError):
             _Prepared(dataset, 8)
+
+    @staticmethod
+    def _dense_prep(prep):
+        """prep's fields as plain dense arrays, with a float mask, as
+        bench/run.py's reference_prep lays them out."""
+        dense = {f: np.asarray(getattr(prep, f)) for f in
+                 ("s_flat", "n_gt", "d_gt_flat", "d_gt_pooled_flat", "gt_axes")}
+        return SimpleNamespace(**dense, m_flat=np.asarray(prep.m_flat, float),
+                               d_gt=prep.d_gt, w=prep.w, count=prep.count)
+
+    @pytest.mark.parametrize("shared", [True, False],
+                             ids=["draws_per_point_4", "distinct_maps"])
+    def test_compact_prepared_matches_dense_layout(self, shared):
+        rng = np.random.default_rng(39)
+        dataset = make_training_set(6, w=32, rng=rng, dense_lights=200,
+                                    draws_per_point=4)
+        if not shared:
+            dataset = [(s, n, ObservationMap(d.values.copy(), d.mask.copy()))
+                       for s, n, d in dataset]
+        prep = _Prepared(dataset, 32)
+        assert len(prep.d_gt_flat.table) == (6 if shared else 24)
+        dense = self._dense_prep(prep)
+        li = new_li_model(32, rng, hidden=(16,))
+        ne = new_ne_model(32, rng, hidden=(16,))
+        idx = rng.permutation(prep.count)[:ROWS + 5]
+        for objective in (ne_objective_and_grads, li_objective_and_grads):
+            loss, grads = objective(li, ne, prep, idx)
+            want_loss, want_grads = objective(li, ne, dense, idx)
+            assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+            for got, want in zip(grads, want_grads, strict=True):
+                for a, b in zip(got, want, strict=True):
+                    assert a.tobytes() == b.tobytes()
+        for i in (0, 7, prep.count - 1):
+            row = prep.m_flat[i]
+            assert row.shape == (32 * 32,) and row.dtype == np.uint8
+            assert row.tobytes() == dense.m_flat[i].astype(np.uint8).tobytes()
+            assert prep.s_flat[i].tobytes() == dense.s_flat[i].tobytes()
+
+    def test_prepared_holds_one_reference_row_per_point(self):
+        dataset = make_training_set(50, w=32, rng=np.random.default_rng(40),
+                                    draws_per_point=4)
+        prep = _Prepared(dataset, 32)
+        assert prep.count == 200
+        held = []
+        for value in vars(prep).values():
+            parts = vars(value).values() if hasattr(value, "__dict__") else [value]
+            held += [a for a in parts if isinstance(a, np.ndarray)]
+        assert all(a.shape != (prep.count, 32 * 32) for a in held)
+        assert sum(len(a) for a in held if a.shape[1:] == (32 * 32,)) == 50
+        assert sum(len(a) for a in held if a.shape[1:] == (16 * 16,)) == 50
+
+    def test_empty_batch_rejected_by_both_objectives(self):
+        dataset = self._tiny_dataset(4, 8, seed=41)
+        prep = _Prepared(dataset, 8)
+        rng = np.random.default_rng(41)
+        li = new_li_model(8, rng, hidden=(4,))
+        ne = new_ne_model(8, rng, hidden=(4,))
+        for objective in (ne_objective_and_grads, li_objective_and_grads):
+            with pytest.raises(ValueError, match="empty batch"):
+                objective(li, ne, prep, np.arange(0))
 
     @pytest.mark.parametrize("make", [
         pytest.param(lambda rng: new_li_model(16, rng), id="new_li_model"),
