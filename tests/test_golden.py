@@ -4,10 +4,12 @@ The scene comes from `sparseps render`; `sparseps eval --solver inpaint_ls`
 writes a report and two error maps, and the diffusion-only control runs
 through run_trials.  `sparseps maps` exports the scene's maps at w = 8,
 `sparseps train` fits both models at w = 8 and at the production width
-w = 32, and `sparseps eval --solver trained` runs the w = 8 models on the
-scene.  Every later change that moves a bit of these outputs has to change
-a hash below in plain view.  Rerun this module's `golden_hashes` on a
-scratch directory to print the new values.
+w = 32, `sparseps eval --solver trained` runs the w = 8 models on the
+scene, and run_trials runs the reloaded w = 32 models on it, so the
+production-width inference path is pinned in float64, not only through a
+report's six digits.  Every later change that moves a bit of these outputs
+has to change a hash below in plain view.  Rerun this module's
+`golden_hashes` on a scratch directory to print the new values.
 """
 
 import hashlib
@@ -15,8 +17,14 @@ import hashlib
 import pytest
 
 from sparseps.cli import main
-from sparseps.evaluation import InpaintLsSolver, TrialConfig, run_trials
+from sparseps.evaluation import (
+    InpaintLsSolver,
+    ModelSolver,
+    TrialConfig,
+    run_trials,
+)
 from sparseps.losses import ROWS
+from sparseps.mlp import load_model
 from sparseps.render import load_scene
 
 RENDER = ("--brdf", "blinnphong", "--res", 16, "--lights", 60, "--seed", 5)
@@ -31,6 +39,7 @@ TRAIN_W32 = ("--points", 40, "--lights", 10, "--w", 32, "--epochs", 3,
              "--batch", 12, "--seed", 6)
 EVAL_TRAINED = ("--solver", "trained", "--w", 8, "--trials", 8,
                 "--lights", 10, "--seed", 3)
+TRAINED_W32 = TrialConfig(n_trials=8, n_lights=10, seed=7)
 
 GOLDEN = {
     "render":
@@ -63,7 +72,16 @@ GOLDEN = {
         "e4cf1de40412cc52c5e03ec204fe40dd2ce998975264c8116309262a6426beb1",
     "trained_errmap_pgm":
         "08c21cfec84388401247ef2e7b8ebc3b51f4bc1de0fa823d43041b43311e3da2",
+    "trained_w32":
+        "6e9739aa3139c871f56c62efc2fe05d555bbcb85b1bb3345bdb571988424d2a2",
 }
+
+
+def _sha_report(report):
+    """Hash of a report's per-trial means, error map and exclusion count."""
+    return _sha(report.per_trial_mean_deg.tobytes(),
+                report.error_map_deg.tobytes(),
+                str(report.excluded_pixels).encode())
 
 
 def _sha(*chunks):
@@ -97,16 +115,18 @@ def golden_hashes(directory):
     assert main(["train", "--out", str(model_w32), *map(str, TRAIN_W32)]) == 0
     assert main(["eval", "--scene", str(scene_dir), "--model", str(model_dir),
                  "--out", str(trained), *map(str, EVAL_TRAINED)]) == 0
-    diffusion = run_trials(load_scene(scene_dir),
-                           InpaintLsSolver(w=32, mirror_step=False), DIFFUSION)
+    scene = load_scene(scene_dir)
+    diffusion = run_trials(scene, InpaintLsSolver(w=32, mirror_step=False),
+                           DIFFUSION)
+    solver_w32 = ModelSolver(load_model(model_w32 / "li.spln"),
+                             load_model(model_w32 / "ne.spln"), w=32)
+    trained_w32 = run_trials(scene, solver_w32, TRAINED_W32)
     return {
         "render": _sha_dir(scene_dir),
         "eval_report": _sha(report.read_bytes()),
         "eval_errmap_pfm": _sha((directory / "eval_errmap.pfm").read_bytes()),
         "eval_errmap_pgm": _sha((directory / "eval_errmap.pgm").read_bytes()),
-        "diffusion_ls": _sha(diffusion.per_trial_mean_deg.tobytes(),
-                             diffusion.error_map_deg.tobytes(),
-                             str(diffusion.excluded_pixels).encode()),
+        "diffusion_ls": _sha_report(diffusion),
         "maps": _sha_dir(maps_dir),
         "train_li": _sha((model_dir / "li.spln").read_bytes()),
         "train_ne": _sha((model_dir / "ne.spln").read_bytes()),
@@ -117,6 +137,7 @@ def golden_hashes(directory):
         "trained_report": _sha(trained.read_bytes()),
         "trained_errmap_pfm": _sha((directory / "trained_errmap.pfm").read_bytes()),
         "trained_errmap_pgm": _sha((directory / "trained_errmap.pgm").read_bytes()),
+        "trained_w32": _sha_report(trained_w32),
     }
 
 
