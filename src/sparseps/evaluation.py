@@ -9,6 +9,7 @@ those captured under the true lights.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import List
@@ -18,6 +19,7 @@ import numpy as np
 from . import fileio
 from .errors import DegenerateLightingError, ShapeError, SparsePSError
 from .geometry import angular_error_deg, normalize_with_flip, perturb_light
+from .mlp import dense_layer
 from .obsmap import (
     axis_from_normal,
     build_observation_maps,
@@ -105,9 +107,20 @@ class ModelSolver:
     f reads its sparse values and its mask only there (the mask is 1 there
     and 0 elsewhere) and g reads the sparse values there plus the whole
     dense map, so each model's first layer runs on those input columns
-    alone (MlpModel.restrict_inputs) and every pixel of the trial goes
-    through f and g as one batch.  Raises ShapeError when a model does not
-    take 2 * w * w inputs.
+    alone, its weights restricted to them, and every pixel of the trial
+    goes through f and g as one batch.  The products skip the first layers'
+    zero terms, so the normals may differ from full-width maps' in the last
+    ulps.
+
+    The solver reuses one workspace across trials: f's and g's hidden
+    outputs, g's restricted first-layer weights and g's input laid out as
+    [occupied cells | dense map], into which f's last layer writes its
+    dense maps directly.  Its buffers grow to the largest trial seen (about
+    11.5 MiB at 793 pixels and ten lights) and are reused from then on, so
+    a trial maps no fresh pages; g's weight columns are copied in on every
+    trial, so a change to the models is always read.  The returned arrays
+    are fresh.  Raises ShapeError when a model does not take 2 * w * w
+    inputs.
     """
 
     name = "trained"
@@ -120,6 +133,7 @@ class ModelSolver:
         self.li = li
         self.ne = ne
         self.w = w
+        self._buffers = {}
 
     def solve_batch(self, lights, irradiance_matrix):
         m = irradiance_matrix.shape[1]
@@ -128,14 +142,45 @@ class ModelSolver:
         if not valid.any():
             return normals, valid
         size = self.w * self.w
+        k = cells.size
         s_occ = values[:, valid].T
-        li = self.li.restrict_inputs(np.concatenate([cells, size + cells]))
-        d_flat = li.forward(np.concatenate([s_occ, np.ones_like(s_occ)], axis=1))
-        ne = self.ne.restrict_inputs(np.concatenate([cells, np.arange(size, 2 * size)]))
-        u = ne.forward(np.concatenate([s_occ, d_flat], axis=1))
+        g_in = self._take("g_in", (s_occ.shape[0], k + size))
+        f_first = self.li.layers[0].weights[:, np.concatenate([cells, size + cells])]
+        self._forward("f", self.li, f_first,
+                      np.concatenate([s_occ, np.ones_like(s_occ)], axis=1),
+                      out=g_in, start=k)
+        g_in[:, :k] = s_occ
+        weights = self.ne.layers[0].weights
+        g_first = self._take("g_first", (weights.shape[0], k + size))
+        g_first[:, :k] = weights[:, cells]
+        g_first[:, k:] = weights[:, size:]
+        u = self._forward("g", self.ne, g_first, g_in)
         normals[valid], _, norms = normalize_with_flip(u)
         valid[valid] = norms > 0
         return normals, valid
+
+    def _take(self, name, shape):
+        """The workspace buffer `name` as a C-contiguous array of `shape`,
+        holding whatever its last user left; it grows only when a trial
+        needs more than it holds."""
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+    def _forward(self, tag, model, first_weights, a, out=None, start=0):
+        """The model on a with its first layer's weights replaced, every
+        output in the workspace; the last goes to out[:, start:] if given."""
+        last = len(model.layers) - 1
+        for i, layer in enumerate(model.layers):
+            weights = first_weights if i == 0 else layer.weights
+            if i == last and out is not None:
+                a = dense_layer(a, weights, layer.bias, layer.activation, out, start)
+            else:
+                dest = self._take((tag, i), (a.shape[0], weights.shape[0]))
+                a = dense_layer(a, weights, layer.bias, layer.activation, dest)
+        return a
 
 
 def run_trials(scene: RenderedScene, solver, cfg: TrialConfig) -> EvalReport:

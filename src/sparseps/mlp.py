@@ -23,25 +23,56 @@ _ACTIVATION_CODES = {"relu": 0, "sigmoid": 1, "linear": 2}
 _ACTIVATION_NAMES = {code: name for name, code in _ACTIVATION_CODES.items()}
 
 
-def _apply_activation(name, z):
+def _activate(name, z):
+    """Apply the activation to z in place.
+
+    The sigmoid runs 1 / (1 + exp(-z)) operation by operation, in the same
+    order, so z ends with the bits the expression gives.
+    """
     if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    if name == "linear":
-        return z
-    raise ValueError(f"unknown activation {name!r}")
+        np.maximum(z, 0.0, out=z)
+    elif name == "sigmoid":
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        np.divide(1.0, z, out=z)
+    elif name != "linear":
+        raise ValueError(f"unknown activation {name!r}")
 
 
-def _activation_grad(name, z, a):
-    """Derivative of the activation at pre-activation z (a is the output)."""
+def _activation_grad(name, a):
+    """Derivative of the activation, from its output a.
+
+    relu's output is positive exactly where its input is, so a alone
+    suffices for every activation here.
+    """
     if name == "relu":
-        return (z > 0).astype(float)
+        return (a > 0).astype(float)
     if name == "sigmoid":
         return a * (1.0 - a)
     if name == "linear":
-        return np.ones_like(z)
+        return np.ones_like(a)
     raise ValueError(f"unknown activation {name!r}")
+
+
+def dense_layer(a, weights, bias, activation, out, start=0):
+    """Evaluate one layer into out[:, start:] in place and return out.
+
+    The product a @ weights.T goes straight into out[:, start:]; the bias
+    and the activation then update it with the operations that
+    activation(a @ weights.T + bias) performs, in the same order, so it
+    carries the bits of that expression.  The bias and the activation run
+    over out's whole rows, about twice as fast as over a column slice of a
+    C-contiguous out; its first `start` columns end as activation(0), for
+    the caller to fill.
+    """
+    np.matmul(a, weights.T, out=out[:, start:])
+    if start:
+        out[:, :start] = 0.0
+        bias = np.concatenate([np.zeros(start), bias])
+    out += bias
+    _activate(activation, out)
+    return out
 
 
 @dataclass
@@ -82,30 +113,22 @@ class MlpModel:
         return out
 
     def forward_trace(self, x):
-        """Forward pass keeping intermediate values for backpropagation."""
+        """Forward pass keeping every layer's output for backpropagation.
+
+        Returns (out, cache) where cache lists the input and each layer's
+        output.
+        """
         a = np.asarray(x, dtype=float)
         if a.ndim != 2 or a.shape[1] != self.input_dim:
             raise ShapeError(
                 f"model expects (batch, {self.input_dim}) inputs, got {a.shape}"
             )
-        cache = [(None, a)]
+        cache = [a]
         for layer in self.layers:
-            z = a @ layer.weights.T + layer.bias
-            a = _apply_activation(layer.activation, z)
-            cache.append((z, a))
+            a = dense_layer(a, layer.weights, layer.bias, layer.activation,
+                            np.empty((a.shape[0], layer.weights.shape[0])))
+            cache.append(a)
         return a, cache
-
-    def restrict_inputs(self, cols):
-        """The model on the input columns `cols` alone.
-
-        The first layer keeps weights[:, cols] and the later layers are
-        shared.  On inputs that are zero outside cols the result computes
-        the same function, without the first layer's products with zeros;
-        its sums skip the zero terms, so outputs may differ in the last ulps.
-        """
-        first = self.layers[0]
-        return MlpModel([DenseLayer(first.weights[:, cols], first.bias,
-                                    first.activation), *self.layers[1:]])
 
     def backward(self, cache, grad_out, want_param_grads=True,
                  want_input_grad=True):
@@ -120,9 +143,8 @@ class MlpModel:
         param_grads = [None] * len(self.layers) if want_param_grads else None
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
-            z, a = cache[i + 1]
-            a_prev = cache[i][1]
-            gz = g * _activation_grad(layer.activation, z, a)
+            a, a_prev = cache[i + 1], cache[i]
+            gz = g * _activation_grad(layer.activation, a)
             if want_param_grads:
                 param_grads[i] = (gz.T @ a_prev, gz.sum(axis=0))
             if i == 0 and not want_input_grad:

@@ -10,6 +10,7 @@ neighborhoods where the oracle itself is invalid.
 import numpy as np
 
 from sparseps.geometry import normalize
+from sparseps.mlp import DenseLayer, MlpModel
 from sparseps.obsmap import ObservationMap, ReflectionPlan, axis_from_normal
 
 
@@ -251,14 +252,32 @@ def reference_model_solver(li, ne, lights, irradiance_matrix, w):
     return normals, valid
 
 
-def criterion_8_trial(seed=7, n_lights=10):
-    """One light draw on the 32x32 criterion-8 sphere: (lights, irradiance
-    (n_lights, pixels), true normals (pixels, 3))."""
+def restrict_inputs(model, cols):
+    """The model on the input columns `cols` alone.
+
+    The first layer keeps weights[:, cols] and the later layers are shared.
+    On inputs that are zero outside cols the result computes the same
+    function, without the first layer's products with zeros; its sums skip
+    the zero terms, so outputs may differ in the last ulps.
+    """
+    first = model.layers[0]
+    return MlpModel([DenseLayer(first.weights[:, cols], first.bias,
+                                first.activation), *model.layers[1:]])
+
+
+def criterion_8_sphere(res=32):
+    """The criterion-8 glossy sphere, res x res, under its 300-light pool."""
     from sparseps.geometry import sample_hemisphere_lights
     from sparseps.render import BlinnPhong, render_sphere
 
     pool = sample_hemisphere_lights(300, 75.0, np.random.default_rng(202))
-    scene = render_sphere(32, BlinnPhong(kd=0.15, ks=1.0, shininess=35.0), pool)
+    return render_sphere(res, BlinnPhong(kd=0.15, ks=1.0, shininess=35.0), pool)
+
+
+def criterion_8_trial(seed=7, n_lights=10):
+    """One light draw on the 32x32 criterion-8 sphere: (lights, irradiance
+    (n_lights, pixels), true normals (pixels, 3))."""
+    scene = criterion_8_sphere()
     idx = np.random.default_rng(seed).choice(300, size=n_lights, replace=False)
     return (scene.lights[idx], scene.images[idx][:, scene.mask],
             scene.normals[scene.mask])

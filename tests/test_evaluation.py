@@ -1,9 +1,13 @@
 """Tests for the trial protocol, noise sweeps, outlier tables, and reports."""
 
+import statistics
+import sys
+
 import numpy as np
 import pytest
 
 from helpers import (
+    criterion_8_sphere,
     criterion_8_trial,
     reference_inpaint_ls,
     reference_model_solver,
@@ -283,6 +287,117 @@ class TestBatchedSolversMatchPerPixelLoops:
             if sparse is not None:
                 np.testing.assert_array_equal(cells, np.flatnonzero(sparse[1]))
                 assert values[:, p].tobytes() == sparse[0].ravel()[cells].tobytes()
+
+
+def protocol_pixels(res):
+    """The criterion-8 light pool and the masked pixel values of its res x
+    res sphere: (pool (300, 3), values (300, pixels))."""
+    scene = criterion_8_sphere(res)
+    return scene.lights, scene.images[:, scene.mask]
+
+
+class TestModelSolverWorkspace:
+    """One solver reused across trials gives the bytes a fresh one gives."""
+
+    def setup_class(cls):
+        rng = np.random.default_rng(21)
+        cls.li = new_li_model(32, rng, hidden=(24, 16))
+        cls.ne = new_ne_model(32, rng, hidden=(12, 8))
+        for layer in cls.ne.layers:
+            layer.bias += rng.normal(0, 0.1, layer.bias.shape)
+        cls.scenes = {res: protocol_pixels(res) for res in (32, 16)}
+
+    def draw(self, seed, res=32, n_lights=10):
+        pool, values = self.scenes[res]
+        idx = np.random.default_rng(seed).choice(len(pool), n_lights,
+                                                 replace=False)
+        return pool[idx], values[idx]
+
+    def assert_reuse_matches_fresh(self, trials):
+        solver = ModelSolver(self.li, self.ne, w=32)
+        for lights, irr in trials:
+            normals, valid = solver.solve_batch(lights, irr)
+            fresh_normals, fresh_valid = ModelSolver(
+                self.li, self.ne, w=32).solve_batch(lights, irr)
+            assert normals.tobytes() == fresh_normals.tobytes()
+            assert valid.tobytes() == fresh_valid.tobytes()
+
+    def test_alternating_sphere_sizes(self):
+        assert [self.scenes[res][1].shape[1] for res in (32, 16)] == [793, 193]
+        self.assert_reuse_matches_fresh(
+            [self.draw(seed, res) for seed, res in
+             enumerate((32, 16, 32, 16, 16, 32))])
+
+    def test_alternating_light_counts(self):
+        self.assert_reuse_matches_fresh(
+            [self.draw(seed, 32, n) for seed, n in
+             enumerate((3, 10, 20, 10, 3, 20))])
+
+    def test_lights_sharing_cells(self):
+        # Copies of lights, turned by 1e-4 rad, land in their cells.
+        lights, irr = self.draw(3, 32, n_lights=6)
+        turned = lights[:4] + [1e-4, 0.0, 0.0]
+        turned /= np.linalg.norm(turned, axis=1, keepdims=True)
+        lights = np.vstack([lights, turned])
+        irr = np.vstack([irr, irr[:4]])
+        cells, _, _ = occupied_cells(lights, irr, 32)
+        assert cells.size == 6 < len(lights)
+        self.assert_reuse_matches_fresh(
+            [self.draw(4), (lights, irr), self.draw(5, 16)])
+
+    def test_trial_without_valid_pixel(self):
+        lights, irr = self.draw(6)
+        dark = np.zeros_like(irr)
+        normals, valid = ModelSolver(self.li, self.ne).solve_batch(lights, dark)
+        assert not valid.any() and not normals.any()
+        self.assert_reuse_matches_fresh(
+            [(lights, irr), (lights, dark), self.draw(7), (lights, dark[:, :5])])
+
+    def test_models_changed_in_place_are_read(self):
+        li = new_li_model(32, np.random.default_rng(24), hidden=(24, 16))
+        ne = new_ne_model(32, np.random.default_rng(25), hidden=(12, 8))
+        solver = ModelSolver(li, ne, w=32)
+        lights, irr = self.draw(10)
+        before = solver.solve_batch(lights, irr)[0]
+        for model in (li, ne):
+            model.layers[0].weights *= -0.5
+        after = solver.solve_batch(lights, irr)[0]
+        fresh = ModelSolver(li, ne, w=32).solve_batch(lights, irr)[0]
+        assert after.tobytes() == fresh.tobytes() != before.tobytes()
+
+    def test_results_are_not_views_of_the_workspace(self):
+        solver = ModelSolver(self.li, self.ne, w=32)
+        normals, valid = solver.solve_batch(*self.draw(8))
+        kept = normals.copy(), valid.copy()
+        again = solver.solve_batch(*self.draw(9))
+        assert normals.tobytes() == kept[0].tobytes()
+        assert valid.tobytes() == kept[1].tobytes()
+        assert normals.tobytes() != again[0].tobytes()
+        assert not np.shares_memory(normals, again[0])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="minor fault counts as Linux reports them")
+def test_trained_trials_fault_in_no_fresh_pages():
+    # Before the solver reused its workspace, each 32 x 32 trial mapped
+    # about 16 MB of fresh temporaries: about 3 900 minor faults a trial.
+    resource = pytest.importorskip("resource")
+    rng = np.random.default_rng(22)
+    solver = ModelSolver(new_li_model(32, rng), new_ne_model(32, rng), w=32)
+    pool, values = protocol_pixels(32)
+    draws = np.random.default_rng(23)
+
+    def trial():
+        idx = draws.choice(len(pool), 10, replace=False)
+        solver.solve_batch(pool[idx], values[idx])
+
+    trial()
+    faults = []
+    for _ in range(10):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        trial()
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert statistics.median(faults) < 400, faults
 
 
 class TestReports:

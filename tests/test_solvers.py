@@ -11,6 +11,7 @@ from helpers import (
     reference_adam_step,
     reference_inpaint,
     reference_sample_maps,
+    restrict_inputs,
 )
 from sparseps.evaluation import ModelSolver
 from sparseps.errors import (
@@ -27,6 +28,7 @@ from sparseps.mlp import (
     DenseLayer,
     MlpModel,
     adam_step,
+    dense_layer,
     init_model,
     load_model,
     save_model,
@@ -307,6 +309,27 @@ class TestForwards:
 
 
 class TestMlpModel:
+    @pytest.mark.parametrize("activation,plain", [
+        ("relu", lambda z: np.maximum(z, 0.0)),
+        ("sigmoid", lambda z: 1.0 / (1.0 + np.exp(-z))),
+        ("linear", lambda z: z),
+    ])
+    def test_dense_layer_keeps_the_expression_bits(self, activation, plain):
+        rng = np.random.default_rng(46)
+        a = rng.normal(size=(37, 24))
+        weights = rng.normal(size=(40, 24))
+        bias = rng.normal(size=40)
+        expected = plain(a @ weights.T + bias).tobytes()
+        out = np.empty((37, 40))
+        assert dense_layer(a, weights, bias, activation, out) is out
+        assert out.tobytes() == expected
+        # Into the last columns of a wider buffer, whose first ones the
+        # caller fills afterwards.
+        wide = np.full((37, 45), np.nan)
+        dense_layer(a, weights, bias, activation, wide, start=5)
+        assert wide[:, 5:].copy().tobytes() == expected
+        assert np.isfinite(wide[:, :5]).all()
+
     def test_restrict_inputs_matches_dense_forward(self):
         rng = np.random.default_rng(44)
         model = new_ne_model(32, rng, hidden=(32, 16))
@@ -314,7 +337,7 @@ class TestMlpModel:
                                np.arange(1024, 2048)])
         x = np.zeros((50, 2048))
         x[:, cols] = rng.uniform(0.0, 1.0, size=(50, cols.size))
-        small = model.restrict_inputs(cols)
+        small = restrict_inputs(model, cols)
         assert small.input_dim == cols.size
         assert small.layers[1:] == model.layers[1:]
         assert small.layers[1].weights is model.layers[1].weights
