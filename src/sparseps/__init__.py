@@ -20,7 +20,6 @@ from .errors import (
 from .geometry import (
     VIEW_DIR,
     angular_error_deg,
-    fibonacci_hemisphere,
     load_lights,
     normalize,
     perturb_light,

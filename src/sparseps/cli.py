@@ -149,6 +149,29 @@ def _run_train(args):
     print(f"saved checkpoints to {args.out}")
 
 
+# The options eval and sweep share, in their --help order.
+_TRIAL_OPTIONS = (
+    ("--scene", {"required": True}),
+    ("--solver", {"default": "ls", "choices": ["ls", "inpaint_ls", "trained"]}),
+    ("--model", {"default": None}),
+    ("--trials", {"type": int, "default": 100}),
+    ("--lights", {"type": int, "default": 10}),
+    ("--w", {"type": int, "default": 32}),
+    ("--seed", {"type": int, "default": 0}),
+    ("--out", {"required": True}),
+)
+
+
+def _add_trial_command(sub, name, summary, after, flag, **kwargs):
+    """A subcommand taking the shared trial options plus its own noise
+    option `flag`, listed after the shared option `after`."""
+    p = sub.add_parser(name, help=summary)
+    for shared, options in _TRIAL_OPTIONS:
+        p.add_argument(shared, **options)
+        if shared == after:
+            p.add_argument(flag, **kwargs)
+
+
 def _solver_from_args(args):
     if args.solver == "ls":
         return LsSolver()
@@ -163,19 +186,6 @@ def _solver_from_args(args):
     raise SparsePSError(f"unknown solver {args.solver!r}")
 
 
-def _add_eval(sub):
-    p = sub.add_parser("eval", help="run the random-trial protocol for one solver")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--solver", default="ls", choices=["ls", "inpaint_ls", "trained"])
-    p.add_argument("--model", default=None)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--lights", type=int, default=10)
-    p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--w", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-
-
 def _run_eval(args):
     scene = load_scene(args.scene)
     solver = _solver_from_args(args)
@@ -185,19 +195,6 @@ def _run_eval(args):
     write_report(report, args.out)
     print(f"{report.solver}: mean angular error "
           f"{report.overall_mean_deg:.6g} deg over {report.n_trials} trials")
-
-
-def _add_sweep(sub):
-    p = sub.add_parser("sweep", help="noise sweep over lighting sigma levels")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--solver", default="ls", choices=["ls", "inpaint_ls", "trained"])
-    p.add_argument("--model", default=None)
-    p.add_argument("--sigmas", default="0,2,4,6,8")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--lights", type=int, default=10)
-    p.add_argument("--w", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
 
 
 def _run_sweep(args):
@@ -247,8 +244,10 @@ def build_parser():
     _add_render(sub)
     _add_maps(sub)
     _add_train(sub)
-    _add_eval(sub)
-    _add_sweep(sub)
+    _add_trial_command(sub, "eval", "run the random-trial protocol for one solver",
+                       "--lights", "--sigma", type=float, default=0.0)
+    _add_trial_command(sub, "sweep", "noise sweep over lighting sigma levels",
+                       "--model", "--sigmas", default="0,2,4,6,8")
     _add_inspect(sub)
     return parser
 

@@ -20,12 +20,7 @@ from . import fileio
 from .errors import DegenerateLightingError, ShapeError, SparsePSError
 from .geometry import angular_error_deg, normalize_with_flip, perturb_light
 from .mlp import dense_layer
-from .obsmap import (
-    axis_from_normal,
-    build_observation_maps,
-    map_cell_lights,
-    occupied_cells,
-)
+from .obsmap import axis_from_normal, map_cell_lights, occupied_cells
 from .render import RenderedScene, inject_cast_shadow
 from .solvers import ls_normal_batch, symmetry_inpaint_maps
 
@@ -86,12 +81,12 @@ class InpaintLsSolver:
     def solve_batch(self, lights, irradiance_matrix):
         m = irradiance_matrix.shape[1]
         normals = np.zeros((m, 3))
-        # An all-zero column, the one map build_observation_maps flags,
-        # already fails the bootstrap fit.
+        # An all-zero column, the one map occupied_cells flags, already
+        # fails the bootstrap fit.
         boot, valid = ls_normal_batch(lights, irradiance_matrix)
-        values, mask, _ = build_observation_maps(lights, irradiance_matrix, self.w)
+        cells, values, _ = occupied_cells(lights, irradiance_matrix, self.w)
         axes = axis_from_normal(boot[valid]) if self.mirror_step else None
-        dense = symmetry_inpaint_maps(values[valid], mask, axes)
+        dense = symmetry_inpaint_maps(self.w, cells, values[:, valid], axes)
         cell_lights, rows, cols = map_cell_lights(self.w)
         normals[valid], refit_valid = ls_normal_batch(
             cell_lights, dense[:, rows, cols].T)

@@ -76,19 +76,6 @@ def sample_hemisphere_lights(count, max_zenith_deg=75.0, rng=None):
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def fibonacci_hemisphere(count):
-    """Deterministic low-discrepancy cover of the upper hemisphere.
-
-    Spiral points with z stepping evenly from ~1 down to ~0 and azimuth
-    advancing by the golden angle; identical output for identical count.
-    """
-    i = np.arange(count, dtype=float)
-    z = 1.0 - (i + 0.5) / count
-    phi = GOLDEN_ANGLE * i
-    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-
-
 def _perpendicular_basis(l):
     """Two orthonormal vectors spanning the plane perpendicular to l."""
     helper = np.array([1.0, 0.0, 0.0])

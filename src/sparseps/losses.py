@@ -296,22 +296,3 @@ def finite_diff_check(kind, D: ObservationMap, n, h=1e-4, D_gt=None, m_s=None,
             rel = abs(analytic[r, c] - fd) / (abs(fd) + 1e-8)
             worst = max(worst, rel)
     return worst
-
-
-def sym_loss_normal_grad(D: ObservationMap, n):
-    """Gradient of sym_loss with respect to the (unit) normal.
-
-    The loss depends on n only through the mirror axis angle; the chain runs
-    through the reflected sample positions and the spatial gradient of the
-    zero-padded bilinear field.  Zero in the degenerate branch where the axis
-    falls back to its fixed convention.
-    """
-    d_sym = _residual(D, n).angle_grad()
-    return (d_sym[:, None] * dpsi_dn(np.asarray(n, dtype=float)[None]))[0]
-
-
-def asym_loss_normal_grad(D: ObservationMap, n, weights: LossWeights = DEFAULT_WEIGHTS):
-    """Gradient of asym_loss with respect to the (unit) normal."""
-    _, d_asym = _terms(D, n, weights).angle_grads()
-    return (d_asym[:, None] * dpsi_dn(np.asarray(n, dtype=float)[None]))[0]
-

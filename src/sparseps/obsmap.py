@@ -10,6 +10,7 @@ normal, and stride-2 average pooling.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -224,19 +225,13 @@ def axis_from_normal(n):
     return np.where(good, planar / np.where(good, norm, 1.0), [1.0, 0.0])
 
 
+@functools.lru_cache(maxsize=None)
 def _centered_grid(w):
     """Flattened centered cell coordinates (px, py), cached per width."""
-    cached = _centered_grid._cache.get(w)
-    if cached is None:
-        c0 = (w - 1) / 2.0
-        idx = np.arange(w, dtype=float)
-        xs, ys = np.meshgrid(idx - c0, idx - c0)   # ys by row, xs by col
-        cached = (xs.ravel().copy(), ys.ravel().copy())
-        _centered_grid._cache[w] = cached
-    return cached
-
-
-_centered_grid._cache = {}
+    c0 = (w - 1) / 2.0
+    idx = np.arange(w, dtype=float)
+    xs, ys = np.meshgrid(idx - c0, idx - c0)   # ys by row, xs by col
+    return xs.ravel().copy(), ys.ravel().copy()
 
 
 def _doubled_angles(axes):
@@ -254,16 +249,6 @@ def _mirror_position(cos2, sin2, px, py, c0):
     return cos2 * px + sin2 * py + c0, sin2 * px - cos2 * py + c0
 
 
-def _reflection(w, axes):
-    """Mirror terms for axes (B, 2): (cos2, sin2) of the doubled axis angle,
-    each (B, 1), and the reflected index positions (pos_x, pos_y), each
-    (B, w*w)."""
-    cos2, sin2 = _doubled_angles(axes)
-    cos2, sin2 = cos2[:, None], sin2[:, None]
-    px, py = _centered_grid(w)
-    return (cos2, sin2) + _mirror_position(cos2, sin2, px, py, (w - 1) / 2.0)
-
-
 def _nearest_cell(w, pos_x, pos_y):
     """Flat index rint(pos_y) * w + rint(pos_x) of the cell nearest each
     position, as float (whole numbers, exact), and whether that cell lies
@@ -276,49 +261,32 @@ def _nearest_cell(w, pos_x, pos_y):
     return pos_y, inside
 
 
-def mirror_sources(w, axes):
-    """Nearest cell to each cell's mirror position about each axis (B, 2).
-
-    Returns (src, inside), each (B, w*w): src indexes the flattened stack of
-    B grids, and inside is False where the mirror position rounds to a cell
-    outside the grid (src is then meaningless).
-    """
-    _, _, cx, cy = _reflection(w, axes)
-    src, inside = _nearest_cell(w, cx, cy)
-    src += np.arange(src.shape[0])[:, None] * (w * w)
-    return src.astype(np.int64), inside
-
-
 # The 3 x 3 block of cell offsets (dy, dx) around a point, row by row.
 _BLOCK_DY = np.repeat([-1.0, 0.0, 1.0], 3)
 _BLOCK_DX = np.tile([-1.0, 0.0, 1.0], 3)
 
 
-def mirror_fill(w, axes, known):
+def mirror_fill(w, axes, cells):
     """The empty cells whose nearest mirror cell is known, and that cell.
 
-    known is (m, w*w) bool, one map per unit axis of axes (m, 2), or
-    (w*w,) shared by every map.  Gives exactly the cells where
-    mirror_sources finds inside & known[src] and the cell itself is not
-    known, without testing every cell: a cell c whose mirror position R c
-    rounds to a known cell k lies within sqrt(2)/2 of R k (R is its own
-    inverse), so it is in the 3 x 3 block around rint(R k).  Only those
-    blocks are tested, through the same position and rounding expressions.
-    Returns (dst, src), flat indices into the stack (m*w*w); a cell may
-    appear more than once, always with the same source.
+    cells (n,) are the flat known cells row * w + col, shared by every map,
+    one map per unit axis of axes (m, 2).  Gives exactly the cells where
+    BatchReflection.gather_nearest reads a known cell and the cell itself
+    is not known, without testing every cell: a cell c whose mirror
+    position R c rounds to a known cell k lies within sqrt(2)/2 of R k (R
+    is its own inverse), so it is in the 3 x 3 block around rint(R k).
+    Only those blocks are tested, through the same position and rounding
+    expressions.  Returns (dst, src), flat indices into the stack (m*w*w);
+    a cell may appear more than once, always with the same source.
     """
     size = w * w
     c0 = (w - 1) / 2.0
     cos2, sin2 = _doubled_angles(axes)
     px, py = _centered_grid(w)
-    known = np.asarray(known, dtype=bool).reshape(-1, size)
-    shared = known.shape[0] == 1
-    if shared:
-        kcell = np.flatnonzero(known)
-        kmap = np.repeat(np.arange(cos2.size), kcell.size)
-        kcell = np.tile(kcell, cos2.size)
-    else:
-        kmap, kcell = np.nonzero(known)
+    known = np.zeros(size, dtype=bool)
+    known[cells] = True
+    kmap = np.repeat(np.arange(cos2.size), len(cells))
+    kcell = np.tile(cells, cos2.size)
     kx, ky = _mirror_position(cos2[kmap], sin2[kmap], px[kcell], py[kcell], c0)
     cx = np.rint(kx)[:, None] + _BLOCK_DX
     cy = np.rint(ky)[:, None] + _BLOCK_DY
@@ -328,8 +296,7 @@ def mirror_fill(w, axes, known):
     sx, sy = _mirror_position(cos2[cmap], sin2[cmap], px[cell], py[cell], c0)
     src, inside = _nearest_cell(w, sx, sy)
     src = np.where(inside, src, 0.0).astype(np.int64)
-    row = 0 if shared else cmap
-    take = inside & known[row, src] & ~known[row, cell]
+    take = inside & known[src] & ~known[cell]
     cmap = cmap[take] * size
     return cmap + cell[take], cmap + src[take]
 
@@ -360,7 +327,11 @@ class BatchReflection:
         self.batch = self.axes.shape[0]
         self.pad = int(np.ceil((w - 1) / 2.0 * (np.sqrt(2.0) - 1.0))) + 1
         self._side = side = w + 2 * self.pad
-        self._cos2, self._sin2, self.pos_x, self.pos_y = _reflection(w, self.axes)
+        cos2, sin2 = _doubled_angles(self.axes)
+        self._cos2 = cos2 = cos2[:, None]
+        self._sin2 = sin2 = sin2[:, None]
+        px, py = _centered_grid(w)
+        self.pos_x, self.pos_y = _mirror_position(cos2, sin2, px, py, (w - 1) / 2.0)
         x0 = np.floor(self.pos_x)
         y0 = np.floor(self.pos_y)
         self._fx = fx = self.pos_x - x0
@@ -417,9 +388,10 @@ class BatchReflection:
     def gather_nearest(self, grids):
         """Nearest-neighbor read at the reflected positions (used for masks);
         cells reflected outside the grid read zero."""
-        src, inside = mirror_sources(self.w, self.axes)
+        src, inside = _nearest_cell(self.w, self.pos_x.copy(), self.pos_y.copy())
+        src += (np.arange(self.batch) * (self.w * self.w))[:, None]
         out = np.zeros(src.shape, dtype=grids.dtype)
-        out[inside] = grids.reshape(-1)[src[inside]]
+        out[inside] = grids.reshape(-1)[src[inside].astype(np.int64)]
         return out
 
     def angle_derivative_of_gather(self, values, corners=None):

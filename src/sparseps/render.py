@@ -8,6 +8,7 @@ a cone occluder in light space rather than by tracing scene geometry.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from typing import Union
@@ -171,18 +172,10 @@ def dense_map_lights(light_count, w):
     alone.  Deterministic for given (light_count, w): the array is built once
     per pair, cached and returned read-only.
     """
-    key = (int(light_count), int(w))
-    cached = dense_map_lights._cache.get(key)
-    if cached is None:
-        cached = _dense_map_lights(*key)
-        cached.flags.writeable = False
-        dense_map_lights._cache[key] = cached
-    return cached
+    return _dense_map_lights(int(light_count), int(w))
 
 
-dense_map_lights._cache = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _dense_map_lights(light_count, w):
     from .geometry import GOLDEN_ANGLE
     from .obsmap import map_cell_lights
@@ -201,25 +194,20 @@ def _dense_map_lights(light_count, w):
         y = r * np.sin(phi)
         z = np.sqrt(np.clip(1.0 - r * r, 0.0, None))
         blocks.append(np.column_stack([x, y, z]))
-    return np.vstack(blocks)
+    lights = np.vstack(blocks)
+    lights.flags.writeable = False
+    return lights
 
 
+@functools.lru_cache(maxsize=None)
 def _dense_map_cells(light_count, w):
     """dense_map_lights(light_count, w) projected onto the w x w grid, built
     once per pair and cached: (cell, occupied, counts), each light's flat
     cell, the occupied cells in increasing order and their light counts."""
-    key = (int(light_count), int(w))
-    cached = _dense_map_cells._cache.get(key)
-    if cached is None:
-        cell = _project_lights(dense_map_lights(*key), key[1])
-        counts = np.bincount(cell, minlength=key[1] ** 2)
-        occupied = counts.nonzero()[0]
-        cached = (cell, occupied, counts[occupied])
-        _dense_map_cells._cache[key] = cached
-    return cached
-
-
-_dense_map_cells._cache = {}
+    cell = _project_lights(dense_map_lights(light_count, w), w)
+    counts = np.bincount(cell, minlength=w * w)
+    occupied = counts.nonzero()[0]
+    return cell, occupied, counts[occupied]
 
 
 def make_dense_gt_map(n, brdf: BRDFSpec, light_count=1000, w=32) -> ObservationMap:
@@ -234,7 +222,7 @@ def make_dense_gt_map(n, brdf: BRDFSpec, light_count=1000, w=32) -> ObservationM
     if light_count < 100:
         raise ValueError("light_count must be >= 100")
     lights = dense_map_lights(light_count, w)
-    cell, occupied, counts = _dense_map_cells(light_count, w)
+    cell, occupied, counts = _dense_map_cells(int(light_count), int(w))
     irr = shade(n, lights, brdf)
     if not (np.isfinite(irr).all() and (irr >= 0).all()):
         raise ValueError("irradiance must be finite and nonnegative")

@@ -93,40 +93,43 @@ def _ls_fit(lights, irradiance_matrix):
 # Deterministic symmetry inpainter
 # ---------------------------------------------------------------------------
 
-def symmetry_inpaint_maps(values, known, axes=None):
-    """Complete a stack of sparse maps: mirror known cells about each map's
-    axis, then diffuse until every cell is filled.
+def symmetry_inpaint_maps(w, cells, values, axes=None):
+    """Complete a stack of sparse w x w maps: mirror known cells about each
+    map's axis, then diffuse until every cell is filled.
 
-    values (m, w, w) holds the sparse maps and known (m, w, w) or (w, w)
-    their known cells, which are never modified.  With unit axes (m, 2),
-    the mirror step copies (nearest neighbor) the value of the reflected
-    cell into each empty cell whose reflection is known; only the 3 x 3
-    blocks around the known cells' own mirror positions can hold such a
-    cell, so only those are tested (obsmap.mirror_fill).  axes=None skips
+    The maps share their known cells, which are never modified: cells (n,)
+    are the flat cells row * w + col and values (n, m) each map's value
+    there, laid out as obsmap.occupied_cells returns them.  With unit axes
+    (m, 2), the mirror step copies (nearest neighbor) the value of the
+    reflected cell into each empty cell whose reflection is known; only the
+    3 x 3 blocks around the known cells' own mirror positions can hold such
+    a cell, so only those are tested (obsmap.mirror_fill).  axes=None skips
     the step.  Remaining holes are filled by passes over the frontier, the
     empty cells with a filled 3x3 neighbor: each takes the mean of its
     filled neighbors, summed row by row.  The filled flags are bytes in a
     zero-bordered stack, so a pass counts every cell's filled neighbors
     with four shifted adds and reads the frontier's neighbor values through
     fixed shifted views of the stack.  Returns the dense values (m, w, w),
-    clipped to [0, 1] outside the known cells.  A map with no known cell
-    stays zero.
+    clipped to [0, 1] outside the known cells.  With no known cell the maps
+    stay zero.
     """
     values = np.asarray(values, dtype=float)
-    m, w = values.shape[0], values.shape[-1]
-    known = np.asarray(known, dtype=bool)
+    m = values.shape[1]
 
     # Zero-bordered stack: every cell's 3x3 neighborhood is in bounds, and
-    # empty and border cells hold value +0.0 and flag 0.
+    # empty and border cells hold value +0.0 and flag 0.  Cell r*w + c of
+    # a map is (r+1)*side + c+1 of its padded block.
     side = w + 2
+    cells = np.asarray(cells, dtype=np.int64)
+    pad_cells = cells + 2 * (cells // w) + side + 1
     padded_v = np.zeros((m, side, side))
     filled = np.zeros((m, side, side), dtype=np.uint8)
-    np.copyto(padded_v[:, 1:-1, 1:-1], values, where=known)
-    filled[:, 1:-1, 1:-1] = known
+    padded_v.reshape(m, -1)[:, pad_cells] = values.T
+    filled.reshape(m, -1)[:, pad_cells] = 1
     flat_v = padded_v.reshape(-1)
     flat_f = filled.reshape(-1)
     if axes is not None:
-        dst, src = mirror_fill(w, axes, known.reshape(-1, w * w))
+        dst, src = mirror_fill(w, axes, cells)
         # Stack index k*w*w + r*w + c -> padded index k*side*side
         # + (r+1)*side + c+1.
         dst, src = ((i + 2 * (i // w) + 2 * side * (i // (w * w)) + side + 1)
@@ -164,7 +167,7 @@ def symmetry_inpaint_maps(values, known, axes=None):
         centre_empty[j] = 0
 
     out = np.clip(padded_v[:, 1:-1, 1:-1], 0.0, 1.0)
-    np.copyto(out, values, where=known)
+    out.reshape(m, -1)[:, cells] = values.T
     return out
 
 
@@ -175,13 +178,13 @@ def symmetry_inpaint(S: ObservationMap, n_hint=None,
     The mirror axis is axis_from_normal(n_hint); without a hint, or with
     mirror_step=False (the diffusion-only baseline), only diffusion runs.
     """
-    known = S.mask.astype(bool)
-    if not known.any():
+    cells = np.flatnonzero(S.mask)
+    if cells.size == 0:
         raise DegenerateSamplesError("inpainting requires at least one known cell")
     axes = None
     if mirror_step and n_hint is not None:
         axes = axis_from_normal(n_hint)[None]
-    dense = symmetry_inpaint_maps(S.values[None], known, axes)[0]
+    dense = symmetry_inpaint_maps(S.width, cells, S.values.ravel()[cells, None], axes)[0]
     return ObservationMap(dense, np.ones_like(S.mask))
 
 
@@ -230,6 +233,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
 
 
 @dataclass
@@ -306,9 +313,8 @@ class _Prepared:
         self.s_flat = _SparseRows(cells, values, self.count, w * w)
         self.m_flat = _SparseRows(cells, np.ones(cells.size, np.uint8), self.count, w * w)
         self.n_gt = np.stack([np.asarray(n, dtype=float) for _, n, _ in dataset])
-        self.d_gt = [d for _, _, d in dataset]
         maps = {}
-        point = np.array([maps.setdefault(id(d), (len(maps), d))[0] for d in self.d_gt])
+        point = np.array([maps.setdefault(id(d), (len(maps), d))[0] for _, _, d in dataset])
         table = np.stack([d.values.ravel() for _, d in maps.values()])
         self.d_gt_flat = _SharedRows(table, point)
         self.d_gt_pooled_flat = _SharedRows(_pool_quarter(table, w), point)
@@ -430,7 +436,8 @@ def ne_objective(li, ne, prep, idx, weights=DEFAULT_WEIGHTS):
     n, _, _ = _normalize_training(ne.forward(np.concatenate([s_b, d_flat], axis=1)))
     total = 0.0
     for j, i in enumerate(idx):
-        total += ne_total_loss(n[j], prep.n_gt[i], prep.d_gt[i], weights)
+        total += ne_total_loss(n[j], prep.n_gt[i], _dense_map(prep.d_gt_flat[i], prep.w),
+                               weights)
     return total / len(idx)
 
 
@@ -445,11 +452,15 @@ def li_objective(li, ne, prep, idx, weights=DEFAULT_WEIGHTS):
     w = prep.w
     total = 0.0
     for j, i in enumerate(idx):
-        pred = ObservationMap(d_flat[j].reshape(w, w),
-                              np.ones((w, w), np.uint8))
         m_s = prep.m_flat[i].reshape(w, w)
-        total += li_total_loss(n[j], prep.n_gt[i], pred, prep.d_gt[i], m_s, weights)
+        total += li_total_loss(n[j], prep.n_gt[i], _dense_map(d_flat[j], w),
+                               _dense_map(prep.d_gt_flat[i], w), m_s, weights)
     return total / len(idx)
+
+
+def _dense_map(row, w):
+    """A flat (w*w,) row as a fully occupied w x w map."""
+    return ObservationMap(row.reshape(w, w), np.ones((w, w), np.uint8))
 
 
 def train_alternating(dataset, cfg: TrainConfig):
@@ -458,11 +469,15 @@ def train_alternating(dataset, cfg: TrainConfig):
     Repeats blocks of NE_STEPS_PER_LI_STEP estimation updates followed by
     one interpolation update, drawing minibatches from a reshuffled pass over
     the dataset each epoch.  Fully deterministic for a fixed seed.  Raises
-    DivergenceError (with the step index) if a batch loss goes non-finite.
+    DivergenceError (with the step index) if a batch loss goes non-finite,
+    and ValueError for an odd map width, which the pooled terms cannot halve.
     """
     if not dataset:
         raise ValueError("dataset must be nonempty")
     w = dataset[0][2].width
+    if w % 2:
+        raise ValueError(f"map width w = {w} must be even: the asymmetric "
+                         "loss pools 2 x 2 cells")
     prep = _Prepared(dataset, w)
     rng = np.random.default_rng(cfg.seed)
     li = new_li_model(w, rng, cfg.li_hidden)

@@ -215,6 +215,20 @@ class TestTrainCommand:
         assert (out / "ne.spln").exists()
         assert "ne_steps=" in (out / "trace.txt").read_text()
 
+    @pytest.mark.parametrize("option,value,named", [
+        ("--batch", -1, "batch_size"), ("--batch", 0, "batch_size"),
+        ("--epochs", 0, "epochs"), ("--w", 7, "width w = 7")])
+    def test_malformed_input_exits_one(self, tmp_path, capsys, option, value, named):
+        out = tmp_path / "model"
+        args = {"--points": 20, "--lights": 8, "--w": 8, "--epochs": 1,
+                "--batch": 8, option: value}
+        status = run("train", *[t for pair in args.items() for t in pair],
+                     "--out", out)
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not out.exists()
+
     def test_epoch_without_f_step_prints_dash(self, tmp_path, capsys):
         # Three steps an epoch: the first f step is step 5, in epoch 1.
         out = tmp_path / "model"

@@ -6,7 +6,6 @@ import pytest
 from sparseps.errors import NormalizationError
 from sparseps.geometry import (
     angular_error_deg,
-    fibonacci_hemisphere,
     load_lights,
     normalize,
     perturb_light,
@@ -127,17 +126,6 @@ class TestPerturbLight:
                 for _ in range(10 ** 5)]
         assert np.mean(devs) == pytest.approx(expected, abs=0.1)
         assert np.mean(devs) == pytest.approx(3.19, abs=0.1)
-
-
-class TestFibonacciHemisphere:
-    def test_deterministic(self):
-        np.testing.assert_array_equal(fibonacci_hemisphere(100),
-                                      fibonacci_hemisphere(100))
-
-    def test_unit_and_hemisphere(self):
-        pts = fibonacci_hemisphere(1000)
-        np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
-        assert np.all(pts[:, 2] > 0)
 
 
 class TestLightListIO:

@@ -18,7 +18,7 @@ from sparseps.losses import (
     _pool_quarter,
     _upsample_quarter,
     asym_loss,
-    asym_loss_normal_grad,
+    dpsi_dn,
     finite_diff_check,
     grad_map,
     li_recon_loss,
@@ -28,7 +28,6 @@ from sparseps.losses import (
     reflections,
     row_blocks,
     sym_loss,
-    sym_loss_normal_grad,
 )
 from sparseps.obsmap import ObservationMap, avg_pool, axis_from_normal, mirror
 
@@ -253,16 +252,23 @@ class TestGradMap:
 class TestNormalAxisGradients:
     """The sym/asym losses move with the normal through the mirror axis."""
 
-    @pytest.mark.parametrize("fn,loss", [
-        (sym_loss_normal_grad, sym_loss),
-        (asym_loss_normal_grad, asym_loss),
-    ])
-    def test_matches_finite_differences(self, fn, loss):
+    @staticmethod
+    def normal_grad(kind, D, n):
+        """d loss / d n: SymmetryTerms' angle gradient chained with
+        d psi / d n."""
+        n = np.asarray(n, dtype=float)[None]
+        terms = SymmetryTerms(D.values.reshape(1, -1),
+                              *reflections(D.width, axis_from_normal(n)))
+        d_sym, d_asym = terms.angle_grads()
+        return ((d_sym if kind == "sym" else d_asym)[:, None] * dpsi_dn(n))[0]
+
+    @pytest.mark.parametrize("kind,loss", [("sym", sym_loss), ("asym", asym_loss)])
+    def test_matches_finite_differences(self, kind, loss):
         rng = np.random.default_rng(15)
         eps = 1e-6
         for _ in range(6):
             obs, n = sample_angle_margin_instance(rng, w=16)
-            grad = fn(obs, n)
+            grad = self.normal_grad(kind, obs, n)
             for k in range(3):
                 probe = n.copy()
                 probe[k] += eps
@@ -274,7 +280,7 @@ class TestNormalAxisGradients:
 
     def test_degenerate_axis_gradient_is_zero(self):
         obs = symmetric_map(16, np.random.default_rng(16))
-        np.testing.assert_array_equal(sym_loss_normal_grad(obs, Z), np.zeros(3))
+        np.testing.assert_array_equal(self.normal_grad("sym", obs, Z), np.zeros(3))
 
 
 class TestMirrorConsistency:

@@ -5,7 +5,7 @@ import pytest
 
 from sparseps.errors import DegenerateSamplesError, HemisphereError
 from sparseps.fileio import read_pgm
-from sparseps.geometry import fibonacci_hemisphere, normalize
+from sparseps.geometry import normalize, sample_hemisphere_lights
 from helpers import (
     ClippedReflection,
     criterion_8_trial,
@@ -28,7 +28,6 @@ from sparseps.obsmap import (
     map_cell_lights,
     mirror,
     mirror_fill,
-    mirror_sources,
     occupied_cells,
     project_light,
     save_obsm,
@@ -97,7 +96,7 @@ class TestBuildObservationMap:
         assert obs.mask.sum() == 1
 
     def test_dense_cover_leaves_holes(self):
-        lights = fibonacci_hemisphere(1000)
+        lights = sample_hemisphere_lights(1000, 90.0, np.random.default_rng(2))
         samples = PixelSamples(lights, lights[:, 2])
         obs = build_observation_map(samples, 32)
         assert obs.mask.sum() < 1024
@@ -109,7 +108,7 @@ class TestBuildObservationMap:
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(3)
-        lights = fibonacci_hemisphere(200)
+        lights = sample_hemisphere_lights(200, 90.0, rng)
         samples = PixelSamples(lights, rng.uniform(0.0, 5.0, size=200))
         obs = build_observation_map(samples, 32)
         assert obs.values.max() <= 1.0
@@ -124,7 +123,7 @@ class TestBuildObservationMap:
 class TestBuildObservationMaps:
     def setup_method(self):
         rng = np.random.default_rng(21)
-        lights = fibonacci_hemisphere(9)
+        lights = sample_hemisphere_lights(9, 90.0, rng)
         self.lights = np.vstack([lights, lights[:1], lights[:1]])
         self.irr = rng.uniform(0.0, 2.0, size=(11, 6))
         self.irr[:, 2] = 0.0                  # all-zero column
@@ -180,7 +179,7 @@ class TestOccupiedCells:
 
     def test_shared_cell_and_all_zero_column(self):
         rng = np.random.default_rng(23)
-        lights = fibonacci_hemisphere(9)
+        lights = sample_hemisphere_lights(9, 90.0, rng)
         # Three lights share the first cell, two others another one.
         lights = np.vstack([lights, lights[:1], lights[:1],
                             [[0.1, 0.1, 0.99], [0.1001, 0.1001, 0.99]]])
@@ -417,8 +416,8 @@ class TestBatchReflection:
 
 class TestMirrorFill:
     """Testing only the 3 x 3 blocks around the known cells' mirror
-    positions selects exactly the cells that mirror_sources, run on every
-    cell, selects."""
+    positions selects exactly the cells that BatchReflection.gather_nearest,
+    read at every cell, selects."""
 
     WIDTHS = [1, 2, 3, 4, 5, 7, 8, 9, 16, 31, 32, 64]
 
@@ -436,12 +435,17 @@ class TestMirrorFill:
     @staticmethod
     def every_cell(w, axes, known):
         """(dst, src) of each empty cell whose nearest mirror cell is known,
-        from mirror_sources over the whole stack."""
-        src, inside = mirror_sources(w, axes)
+        from gather_nearest over every cell of an index grid (cell + 1, so
+        0 reads outside the grid)."""
+        size = w * w
+        read = BatchReflection(w, axes).gather_nearest(
+            np.tile(np.arange(1, size + 1), (len(axes), 1)))
+        inside = read.reshape(-1) > 0
+        src = (read - 1 + np.arange(len(axes))[:, None] * size).reshape(-1)
         flat = known.reshape(-1)
-        take = inside & ~known & flat[np.where(inside, src, 0)]
+        take = inside & ~flat & flat[np.where(inside, src, 0)]
         dst = np.flatnonzero(take)
-        return np.column_stack([dst, src.reshape(-1)[dst]])
+        return np.column_stack([dst, src[dst]])
 
     @staticmethod
     def pairs(dst, src):
@@ -451,14 +455,19 @@ class TestMirrorFill:
     @pytest.mark.parametrize("density", [0.01, 0.1, 0.5])
     @pytest.mark.parametrize("w", WIDTHS)
     def test_per_map_known(self, w, density):
+        # Maps with their own known cells each take a call of their own.
         rng = np.random.default_rng(300 + w)
         axes = self.axes(rng)
         known = rng.uniform(size=(len(axes), w * w)) < density
         known[::5] = False
         known[::5, rng.integers(w * w)] = True        # one known cell
         known[1] = False                              # none
-        got = self.pairs(*mirror_fill(w, axes, known))
-        np.testing.assert_array_equal(got, self.every_cell(w, axes, known))
+        size = w * w
+        got = np.concatenate([
+            np.column_stack(mirror_fill(w, axes[k:k + 1], np.flatnonzero(known[k])))
+            + k * size for k in range(len(axes))])
+        np.testing.assert_array_equal(self.pairs(*got.T),
+                                      self.every_cell(w, axes, known))
 
     @pytest.mark.parametrize("w", WIDTHS)
     def test_shared_known(self, w):
@@ -466,7 +475,7 @@ class TestMirrorFill:
         axes = self.axes(rng)
         known = rng.uniform(size=w * w) < 0.1
         known[rng.integers(w * w)] = True
-        got = self.pairs(*mirror_fill(w, axes, known))
+        got = self.pairs(*mirror_fill(w, axes, np.flatnonzero(known)))
         want = self.every_cell(w, axes, np.broadcast_to(known, (len(axes), w * w)))
         np.testing.assert_array_equal(got, want)
 
@@ -479,7 +488,8 @@ class TestBuildSampleMaps:
     def samples(rng, counts):
         out = []
         for k in counts:
-            lights = fibonacci_hemisphere(64)[rng.choice(64, size=k, replace=False)]
+            pool = sample_hemisphere_lights(64, 90.0, rng)
+            lights = pool[rng.choice(64, size=k, replace=False)]
             out.append(PixelSamples(lights, rng.uniform(0.0, 1.0, size=k)))
         return out
 

@@ -38,8 +38,8 @@ from sparseps.obsmap import (
     PixelSamples,
     axis_from_normal,
     build_observation_map,
-    build_observation_maps,
     mirror,
+    occupied_cells,
 )
 from sparseps.render import Lambertian, make_dense_gt_map, shade
 from sparseps.solvers import (
@@ -187,31 +187,41 @@ class TestSymmetryInpaintMaps:
 
     def setup_class(cls):
         lights, irr, _ = criterion_8_trial()
-        cls.values, cls.mask, ok = build_observation_maps(lights, irr, 32)
+        cls.cells, values, ok = occupied_cells(lights, irr, 32)
         boot, boot_ok = ls_normal_batch(lights, irr)
         keep = ok & boot_ok
-        cls.values, cls.boot = cls.values[keep], boot[keep]
-        cls.check = range(0, cls.values.shape[0], 9)
+        cls.values, cls.boot = values[:, keep], boot[keep]
+        cls.mask = np.zeros(32 * 32, np.uint8)
+        cls.mask[cls.cells] = 1
+        cls.mask = cls.mask.reshape(32, 32)
+        cls.check = range(0, cls.values.shape[1], 9)
+
+    def dense(self, p):
+        out = np.zeros(32 * 32)
+        out[self.cells] = self.values[:, p]
+        return out.reshape(32, 32)
 
     @pytest.mark.parametrize("mirror_step", [True, False])
     def test_bit_identical_to_per_map_passes(self, mirror_step):
         axes = axis_from_normal(self.boot) if mirror_step else None
-        dense = symmetry_inpaint_maps(self.values, self.mask, axes)
+        dense = symmetry_inpaint_maps(32, self.cells, self.values, axes)
         for p in self.check:
-            ref = reference_inpaint(self.values[p], self.mask, self.boot[p],
+            ref = reference_inpaint(self.dense(p), self.mask, self.boot[p],
                                     mirror_step)
             np.testing.assert_array_equal(dense[p], ref)
-            single = symmetry_inpaint(ObservationMap(self.values[p], self.mask),
+            single = symmetry_inpaint(ObservationMap(self.dense(p), self.mask),
                                       n_hint=self.boot[p], mirror_step=mirror_step)
             np.testing.assert_array_equal(single.values, ref)
 
     @pytest.mark.parametrize("w", [1, 3, 5, 8, 9, 16, 31])
     def test_per_map_known_against_reference(self, w):
-        # Each map its own known cells, at odd and even widths, with maps of
-        # one known cell and a map of none (which stays zero).
+        # Each map its own known cells, inpainted as a batch of one, then
+        # all maps sharing one set, at odd and even widths, with maps of one
+        # known cell and a map of none (which stays zero).  Values reach
+        # 1.5, so the clip changes known cells and the restore must undo it.
         rng = np.random.default_rng(50 + w)
         m = 12
-        values = rng.uniform(size=(m, w, w))
+        values = 1.5 * rng.uniform(size=(m, w, w))
         known = rng.uniform(size=(m, w, w)) < 0.15
         known[:3] = False
         known[0, w // 2, 0] = known[1, 0, w - 1] = True
@@ -220,14 +230,23 @@ class TestSymmetryInpaintMaps:
         normals[3, :2] = [1e-8, 0.0]                  # the fallback axis
         normals[4, :2] = [0.0, 1.0]                   # axis-aligned
         normals[5, :2] = [1.0, 1.0]                   # 45 degrees
+        flat = values.reshape(m, -1)
         for mirror_step in (True, False):
             axes = axis_from_normal(normals) if mirror_step else None
-            dense = symmetry_inpaint_maps(values, known, axes)
             for p in range(m):
+                cells = np.flatnonzero(known[p])
+                one = None if axes is None else axes[p:p + 1]
+                dense = symmetry_inpaint_maps(w, cells, flat[p, cells, None], one)
                 ref = reference_inpaint(values[p], known[p], normals[p],
                                         mirror_step)
+                assert dense[0].tobytes() == ref.tobytes(), (p, mirror_step)
+                assert p != 2 or not dense.any()      # map 2: no known cell
+            cells = np.flatnonzero(known[5])
+            dense = symmetry_inpaint_maps(w, cells, flat[:, cells].T, axes)
+            for p in range(m):
+                ref = reference_inpaint(values[p], known[5], normals[p],
+                                        mirror_step)
                 assert dense[p].tobytes() == ref.tobytes(), (p, mirror_step)
-        assert not dense[2].any()
 
     def test_no_known_cell_rejected(self):
         empty = ObservationMap(np.zeros((8, 8)), np.zeros((8, 8), np.uint8))
@@ -505,7 +524,7 @@ class TestTraining:
         dense = {f: np.asarray(getattr(prep, f)) for f in
                  ("s_flat", "n_gt", "d_gt_flat", "d_gt_pooled_flat", "gt_axes")}
         return SimpleNamespace(**dense, m_flat=np.asarray(prep.m_flat, float),
-                               d_gt=prep.d_gt, w=prep.w, count=prep.count)
+                               w=prep.w, count=prep.count)
 
     @pytest.mark.parametrize("shared", [True, False],
                              ids=["draws_per_point_4", "distinct_maps"])
