@@ -40,6 +40,26 @@ from .render import BlinnPhong, Lambertian, load_scene, render_sphere, save_scen
 from .solvers import TrainConfig, make_training_set, train_alternating
 
 
+def _at_least(value, least, option):
+    """Raise ValueError naming `option` when its value is below `least`."""
+    if value < least:
+        raise ValueError(f"{option} must be >= {least}, got {value}")
+
+
+def _numbers(text, option, parse, count=None):
+    """The comma-separated values of `option`, each read by `parse`; raises
+    ValueError naming the option when one does not parse or, with `count`,
+    when there are not `count` of them."""
+    try:
+        values = [parse(tok) for tok in text.split(",")]
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)):
+        raise ValueError(f"{option} takes {count or 'a list of'} comma-separated "
+                         f"numbers, got {text!r}")
+    return values
+
+
 def _brdf_from_args(args):
     if args.brdf == "lambertian":
         return Lambertian(albedo=args.albedo)
@@ -85,8 +105,8 @@ def _add_maps(sub):
 
 
 def _run_maps(args):
-    if args.stride < 1:
-        raise ValueError("--stride must be >= 1")
+    _at_least(args.stride, 1, "--stride")
+    _at_least(args.w, 1, "--w")
     scene = load_scene(args.scene)
     grid = np.zeros_like(scene.mask)
     grid[::args.stride, ::args.stride] = True
@@ -124,6 +144,7 @@ def _epoch_loss(value):
 
 
 def _run_train(args):
+    _at_least(args.w, 2, "--w")
     rng = np.random.default_rng(args.seed)
     dataset = make_training_set(args.points, args.lights, args.w, rng)
     cfg = TrainConfig(
@@ -187,6 +208,7 @@ def _solver_from_args(args):
 
 
 def _run_eval(args):
+    _at_least(args.w, 1, "--w")
     scene = load_scene(args.scene)
     solver = _solver_from_args(args)
     cfg = TrialConfig(n_trials=args.trials, n_lights=args.lights,
@@ -198,9 +220,10 @@ def _run_eval(args):
 
 
 def _run_sweep(args):
+    _at_least(args.w, 1, "--w")
+    sigmas = _numbers(args.sigmas, "--sigmas", float)
     scene = load_scene(args.scene)
     solver = _solver_from_args(args)
-    sigmas = [float(tok) for tok in args.sigmas.split(",")]
     cfg = TrialConfig(n_trials=args.trials, n_lights=args.lights, seed=args.seed)
     reports = noise_sweep(scene, solver, sigmas, cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -218,8 +241,9 @@ def _add_inspect(sub):
 
 
 def _run_inspect(args):
+    _at_least(args.w, 1, "--w")
+    row, col = _numbers(args.pixel, "--pixel", int, count=2)
     scene = load_scene(args.scene)
-    row, col = (int(tok) for tok in args.pixel.split(","))
     obs = build_observation_map(scene.pixel_samples(row, col), args.w)
     save_pgm(obs, args.out)
     print(f"wrote {args.w}x{args.w} map for pixel ({row}, {col}) to {args.out}")

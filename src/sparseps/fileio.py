@@ -28,7 +28,11 @@ def write_pfm(path, image):
 
 
 def read_pfm(path):
-    """Read a PFM file written by write_pfm (or any little-endian PFM)."""
+    """Read a PFM file written by write_pfm (or any little-endian PFM).
+
+    Raises ValueError naming the file when its header is unknown or its
+    data is not the 4 * width * height * channels bytes the header gives.
+    """
     with open(path, "rb") as fh:
         header = fh.readline().strip()
         if header == b"Pf":
@@ -41,7 +45,11 @@ def read_pfm(path):
         scale = float(fh.readline())
         dtype = "<f4" if scale < 0 else ">f4"
         count = w * h * channels
-        data = np.frombuffer(fh.read(4 * count), dtype=dtype).astype(float)
+        raw = fh.read()
+    if w < 0 or h < 0 or len(raw) != 4 * count:
+        raise ValueError(f"{path}: {len(raw)} bytes of pixel data, but a "
+                         f"{w} x {h} x {channels} PFM holds {4 * count}")
+    data = np.frombuffer(raw, dtype=dtype).astype(float)
     if channels == 1:
         image = data.reshape(h, w)
     else:

@@ -122,8 +122,9 @@ def save_lights(path, lights):
 def load_lights(path):
     """Read a light list written by save_lights; rows are renormalized.
 
-    Raises ValueError naming the line of a row that has no finite, nonzero
-    length, since it names no direction.
+    Raises ValueError naming the line of a row that is not three numbers,
+    has no finite, nonzero length (it names no direction) or points below
+    the horizon (z < 0).
     """
     rows = []
     numbers = []
@@ -132,15 +133,24 @@ def load_lights(path):
             line = line.strip()
             if not line:
                 continue
-            rows.append([float(tok) for tok in line.split()])
+            try:
+                row = [float(tok) for tok in line.split()]
+            except ValueError:
+                row = []
+            if len(row) != 3:
+                raise ValueError(f"{path}: line {number}: {line!r} is not "
+                                 "three numbers")
+            rows.append(row)
             numbers.append(number)
+    if not rows:
+        raise ValueError(f"{path}: no lights")
     lights = np.asarray(rows, dtype=float)
-    if lights.ndim != 2 or lights.shape[1] != 3:
-        raise ValueError(f"malformed light list in {path}")
     norms = np.linalg.norm(lights, axis=1, keepdims=True)
-    bad = ~(np.isfinite(norms) & (norms > 0.0))[:, 0]
-    if bad.any():
-        first = int(np.argmax(bad))
-        raise ValueError(f"{path}: line {numbers[first]}: light {rows[first]} "
-                         "has no finite, nonzero length")
+    for bad, why in ((~(np.isfinite(norms) & (norms > 0.0))[:, 0],
+                      "has no finite, nonzero length"),
+                     (lights[:, 2] < 0, "points below the horizon (z < 0)")):
+        if bad.any():
+            first = int(np.argmax(bad))
+            raise ValueError(f"{path}: line {numbers[first]}: light "
+                             f"{rows[first]} {why}")
     return lights / norms

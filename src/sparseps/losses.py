@@ -186,14 +186,10 @@ def asym_loss(D: ObservationMap, n, weights: LossWeights = DEFAULT_WEIGHTS) -> f
     return float(_terms(D, n, weights).asym[0])
 
 
-def _arccos_clamped(n, n_gt):
-    d = float(np.clip(np.dot(n, n_gt), -1.0, 1.0))
-    return float(np.arccos(d))
-
-
 def ne_recon_loss(n, n_gt) -> float:
     """Angle in radians between estimated and true normal."""
-    return _arccos_clamped(n, n_gt)
+    d = float(np.clip(np.dot(n, n_gt), -1.0, 1.0))
+    return float(np.arccos(d))
 
 
 def li_recon_loss(n, n_gt, D: ObservationMap, D_gt: ObservationMap, m_s) -> float:
@@ -205,7 +201,7 @@ def li_recon_loss(n, n_gt, D: ObservationMap, D_gt: ObservationMap, m_s) -> floa
         )
     diff = D.values - D_gt.values
     return (
-        _arccos_clamped(n, n_gt)
+        ne_recon_loss(n, n_gt)
         + float(np.abs(diff).sum())
         + float(np.abs(m_s * diff).sum())
     )

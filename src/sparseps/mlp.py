@@ -103,10 +103,6 @@ class MlpModel:
     def input_dim(self) -> int:
         return self.layers[0].weights.shape[1]
 
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1].weights.shape[0]
-
     def forward(self, x):
         """Evaluate the network on a batch x (batch, in)."""
         out, _ = self.forward_trace(x)
@@ -188,9 +184,13 @@ class AdamState:
 # then stay in cache; chosen by a sweep (README, "Performance").
 ADAM_CHUNK = 16384
 
+# Adam's moment decay rates and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-def adam_step(model: MlpModel, grads, state: AdamState, lr,
-              beta1=0.9, beta2=0.999, eps=1e-8):
+
+def adam_step(model: MlpModel, grads, state: AdamState, lr):
     """One Adam update in place; grads is the list produced by backward.
 
     Computes param -= lr * (m / c1) / (sqrt(v / c2) + eps), with c1, c2 the
@@ -210,24 +210,24 @@ def adam_step(model: MlpModel, grads, state: AdamState, lr,
         raise ValueError("adam_step needs C-contiguous parameters and moments")
     state.step += 1
     t = state.step
-    correct1 = 1.0 - beta1 ** t
-    correct2 = 1.0 - beta2 ** t
+    correct1 = 1.0 - ADAM_BETA1 ** t
+    correct2 = 1.0 - ADAM_BETA2 ** t
     scratch = np.empty((2, ADAM_CHUNK))
     for param, grad, m, v in pairs:
         flat = [x.reshape(-1) for x in (param, grad, m, v)]
         for lo in range(0, param.size, ADAM_CHUNK):
             p, g, mc, vc = (x[lo:lo + ADAM_CHUNK] for x in flat)
             a, b = scratch[:, :p.size]
-            np.multiply(g, 1.0 - beta1, out=a)
-            mc *= beta1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+            mc *= ADAM_BETA1
             mc += a
-            vc *= beta2
-            np.multiply(g, 1.0 - beta2, out=a)
+            vc *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=a)
             a *= g
             vc += a
             np.divide(vc, correct2, out=a)
             np.sqrt(a, out=a)
-            a += eps
+            a += ADAM_EPS
             np.divide(mc, correct1, out=b)
             b *= lr
             b /= a

@@ -151,11 +151,17 @@ def build_observation_maps(lights, irradiance_matrix, w):
     all-zero columns, whose maps stay zero.
     """
     cells, sparse, ok = occupied_cells(lights, irradiance_matrix, w)
-    values = np.zeros((sparse.shape[1], w * w))
-    values[:, cells] = sparse.T
+    return (*_scatter_cells(w, cells, sparse), ok)
+
+
+def _scatter_cells(w, cells, values):
+    """Dense maps (m, w, w) holding values (n, m) at the flat cells (n,),
+    zero elsewhere, and their shared mask (w, w) uint8 of those cells."""
+    maps = np.zeros((values.shape[1], w * w))
+    maps[:, cells] = values.T
     mask = np.zeros(w * w, dtype=np.uint8)
     mask[cells] = 1
-    return values.reshape(-1, w, w), mask.reshape(w, w), ok
+    return maps.reshape(-1, w, w), mask.reshape(w, w)
 
 
 def build_sample_maps(samples, w):
@@ -243,10 +249,12 @@ def _doubled_angles(axes):
     return ax * ax - ay * ay, 2.0 * ax * ay
 
 
-def _mirror_position(cos2, sin2, px, py, c0):
-    """Index-space mirror position of centered cell coordinates (px, py):
-    R (px, py) + c0, R = [[cos2, sin2], [sin2, -cos2]] the reflection."""
-    return cos2 * px + sin2 * py + c0, sin2 * px - cos2 * py + c0
+def _mirror_position(cos2, sin2, px, py):
+    """Centered mirror position of centered cell coordinates (px, py): the
+    pair (rx, nry) with R (px, py) = (rx, -nry), R = [[cos2, sin2], [sin2,
+    -cos2]] the reflection.  The index position is (rx + c0, c0 - nry), and
+    (2 nry, 2 rx) is its derivative with respect to the axis angle."""
+    return cos2 * px + sin2 * py, cos2 * py - sin2 * px
 
 
 def _nearest_cell(w, pos_x, pos_y):
@@ -287,14 +295,14 @@ def mirror_fill(w, axes, cells):
     known[cells] = True
     kmap = np.repeat(np.arange(cos2.size), len(cells))
     kcell = np.tile(cells, cos2.size)
-    kx, ky = _mirror_position(cos2[kmap], sin2[kmap], px[kcell], py[kcell], c0)
-    cx = np.rint(kx)[:, None] + _BLOCK_DX
-    cy = np.rint(ky)[:, None] + _BLOCK_DY
+    kx, nky = _mirror_position(cos2[kmap], sin2[kmap], px[kcell], py[kcell])
+    cx = np.rint(kx + c0)[:, None] + _BLOCK_DX
+    cy = np.rint(c0 - nky)[:, None] + _BLOCK_DY
     ok = (cy >= 0) & (cy < w) & (cx >= 0) & (cx < w)
     cell = (cy[ok] * w + cx[ok]).astype(np.int64)
     cmap = np.broadcast_to(kmap[:, None], ok.shape)[ok]
-    sx, sy = _mirror_position(cos2[cmap], sin2[cmap], px[cell], py[cell], c0)
-    src, inside = _nearest_cell(w, sx, sy)
+    sx, nsy = _mirror_position(cos2[cmap], sin2[cmap], px[cell], py[cell])
+    src, inside = _nearest_cell(w, sx + c0, c0 - nsy)
     src = np.where(inside, src, 0.0).astype(np.int64)
     take = inside & known[src] & ~known[cell]
     cmap = cmap[take] * size
@@ -328,10 +336,11 @@ class BatchReflection:
         self.pad = int(np.ceil((w - 1) / 2.0 * (np.sqrt(2.0) - 1.0))) + 1
         self._side = side = w + 2 * self.pad
         cos2, sin2 = _doubled_angles(self.axes)
-        self._cos2 = cos2 = cos2[:, None]
-        self._sin2 = sin2 = sin2[:, None]
-        px, py = _centered_grid(w)
-        self.pos_x, self.pos_y = _mirror_position(cos2, sin2, px, py, (w - 1) / 2.0)
+        c0 = (w - 1) / 2.0
+        self._rx, self._nry = _mirror_position(cos2[:, None], sin2[:, None],
+                                               *_centered_grid(w))
+        self.pos_x = self._rx + c0
+        self.pos_y = c0 - self._nry
         x0 = np.floor(self.pos_x)
         y0 = np.floor(self.pos_y)
         self._fx = fx = self.pos_x - x0
@@ -408,11 +417,8 @@ class BatchReflection:
         v00, v01, v10, v11 = corners
         dbdx = self._gy * (v01 - v00) + self._fy * (v11 - v10)
         dbdy = self._gx * (v10 - v00) + self._fx * (v11 - v01)
-        # Derivative of the position w.r.t. the axis angle psi.
-        px, py = _centered_grid(self.w)
-        dpos_x = 2.0 * (-self._sin2 * px + self._cos2 * py)
-        dpos_y = 2.0 * (self._cos2 * px + self._sin2 * py)
-        return dbdx * dpos_x + dbdy * dpos_y
+        # The position's derivative w.r.t. the axis angle is (2 nry, 2 rx).
+        return dbdx * (2.0 * self._nry) + dbdy * (2.0 * self._rx)
 
 
 class ReflectionPlan:
@@ -480,15 +486,3 @@ def save_obsm(D: ObservationMap, path):
         fh.write(struct.pack("<I", D.width))
         fh.write(D.values.astype("<f4").tobytes())
         fh.write(D.mask.astype(np.uint8).tobytes())
-
-
-def load_obsm(path) -> ObservationMap:
-    """Read a map written by save_obsm."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != OBSM_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        (w,) = struct.unpack("<I", fh.read(4))
-        values = np.frombuffer(fh.read(4 * w * w), dtype="<f4").reshape(w, w)
-        mask = np.frombuffer(fh.read(w * w), dtype=np.uint8).reshape(w, w)
-    return ObservationMap(values.astype(float), mask.copy())

@@ -18,7 +18,8 @@ import numpy as np
 from . import fileio
 from .geometry import VIEW_DIR
 from .errors import DegenerateSamplesError
-from .obsmap import ObservationMap, PixelSamples, _project_lights
+from .obsmap import (ObservationMap, PixelSamples, _cell_means, _project_lights,
+                     _scatter_cells)
 
 # Unused here, but bound: bench/run.py traces this name on this module.
 from .obsmap import build_observation_map  # noqa: F401,E402
@@ -78,7 +79,7 @@ class OccluderCone:
             raise ValueError("half_angle_deg must be in (0, 90)")
 
 
-def shade(n, l, brdf: BRDFSpec, v=VIEW_DIR):
+def shade(n, l, brdf: BRDFSpec):
     """Irradiance max(n.l, 0) * rho(n.l, n.v, v.l); zero in attached shadow.
 
     `l` may be a single direction (3,) or a stack (k, 3); the return matches.
@@ -86,19 +87,19 @@ def shade(n, l, brdf: BRDFSpec, v=VIEW_DIR):
     n = np.asarray(n, dtype=float)
     l = np.asarray(l, dtype=float)
     ndl = l @ n
-    ndv = float(n @ v)
-    vdl = l @ v
+    ndv = float(n @ VIEW_DIR)
+    vdl = l @ VIEW_DIR
     value = np.where(ndl > 0, ndl, 0.0) * brdf.rho(ndl, ndv, vdl)
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _shade_pixels(normals, lights, brdf: BRDFSpec, v=VIEW_DIR):
+def _shade_pixels(normals, lights, brdf: BRDFSpec):
     """Shade many pixels under many lights -> (k, m) irradiance matrix."""
     normals = np.asarray(normals, dtype=float)   # (m, 3)
     lights = np.asarray(lights, dtype=float)     # (k, 3)
     ndl = lights @ normals.T                     # (k, m)
-    ndv = normals @ v                            # (m,)
-    vdl = lights @ v                             # (k,)
+    ndv = normals @ VIEW_DIR                     # (m,)
+    vdl = lights @ VIEW_DIR                      # (k,)
     rho = brdf.rho(ndl, ndv[None, :], vdl[:, None])
     return np.where(ndl > 0, ndl, 0.0) * rho
 
@@ -201,13 +202,9 @@ def _dense_map_lights(light_count, w):
 
 @functools.lru_cache(maxsize=None)
 def _dense_map_cells(light_count, w):
-    """dense_map_lights(light_count, w) projected onto the w x w grid, built
-    once per pair and cached: (cell, occupied, counts), each light's flat
-    cell, the occupied cells in increasing order and their light counts."""
-    cell = _project_lights(dense_map_lights(light_count, w), w)
-    counts = np.bincount(cell, minlength=w * w)
-    occupied = counts.nonzero()[0]
-    return cell, occupied, counts[occupied]
+    """Each light's flat cell on the w x w grid, for dense_map_lights(
+    light_count, w): projected once per pair and cached."""
+    return _project_lights(dense_map_lights(light_count, w), w)
 
 
 def make_dense_gt_map(n, brdf: BRDFSpec, light_count=1000, w=32) -> ObservationMap:
@@ -216,26 +213,17 @@ def make_dense_gt_map(n, brdf: BRDFSpec, light_count=1000, w=32) -> ObservationM
     Uses the fixed sequence from dense_map_lights so the same arguments
     always produce the same map, bit for bit: build_observation_map's map
     of those lights, whose cells are projected once per (light_count, w).
-    Each occupied cell sums its lights in order, then is divided by their
-    count and by the peak irradiance.
     """
     if light_count < 100:
         raise ValueError("light_count must be >= 100")
-    lights = dense_map_lights(light_count, w)
-    cell, occupied, counts = _dense_map_cells(int(light_count), int(w))
-    irr = shade(n, lights, brdf)
-    if not (np.isfinite(irr).all() and (irr >= 0).all()):
-        raise ValueError("irradiance must be finite and nonnegative")
+    irr = shade(n, dense_map_lights(light_count, w), brdf)
+    cells, means = _cell_means(_dense_map_cells(int(light_count), int(w)), irr, w * w)
     peak = irr.max()
     if not peak > 0.0:
         raise DegenerateSamplesError("all sample irradiance values are zero")
-    means = np.bincount(cell, weights=irr, minlength=w * w)[occupied] / counts
     means /= peak
-    values = np.zeros(w * w)
-    values[occupied] = means
-    mask = np.zeros(w * w, dtype=np.uint8)
-    mask[occupied] = 1
-    return ObservationMap(values.reshape(w, w), mask.reshape(w, w))
+    values, mask = _scatter_cells(w, cells, means[:, None])
+    return ObservationMap(values[0], mask)
 
 
 def save_scene(scene: RenderedScene, directory):
@@ -253,17 +241,25 @@ def save_scene(scene: RenderedScene, directory):
 
 
 def load_scene(directory) -> RenderedScene:
-    """Read a scene directory written by save_scene."""
+    """Read a scene directory written by save_scene.
+
+    Raises ValueError naming the file that disagrees with the rest: a light
+    count other than the number of img_*.pfm files, or than meta.txt's
+    `lights` when given; a light below the horizon (load_lights); or an
+    image whose shape is not the normals' or whose pixels are not all
+    finite and nonnegative.
+    """
     from .geometry import load_lights
 
-    lights = load_lights(os.path.join(directory, "lights.txt"))
+    lights_path = os.path.join(directory, "lights.txt")
+    lights = load_lights(lights_path)
+    k = lights.shape[0]
     normals = fileio.read_pfm(os.path.join(directory, "normals.pfm"))
-    resolution = normals.shape[0]
-    mask = np.linalg.norm(normals, axis=2) > 0.5
-    images = np.stack([
-        fileio.read_pfm(os.path.join(directory, f"img_{i:04d}.pfm"))
-        for i in range(lights.shape[0])
-    ])
+    found = sum(f.startswith("img_") and f.endswith(".pfm")
+                for f in os.listdir(directory))
+    if found != k:
+        raise ValueError(f"{lights_path}: {k} lights, but {directory} holds "
+                         f"{found} img_*.pfm images")
     meta = {}
     meta_path = os.path.join(directory, "meta.txt")
     if os.path.exists(meta_path):
@@ -272,4 +268,20 @@ def load_scene(directory) -> RenderedScene:
                 if "=" in line:
                     key, value = line.strip().split("=", 1)
                     meta[key] = value
-    return RenderedScene(resolution, lights, images, normals, mask, meta)
+        if meta.get("lights", str(k)) != str(k):
+            raise ValueError(f"{meta_path}: lights={meta['lights']}, but "
+                             f"{lights_path} holds {k} lights")
+    images = np.empty((k,) + normals.shape[:2])
+    paths = [os.path.join(directory, f"img_{i:04d}.pfm") for i in range(k)]
+    for i, path in enumerate(paths):
+        image = fileio.read_pfm(path)
+        if image.shape != images.shape[1:]:
+            raise ValueError(f"{path}: image shape {image.shape}, but the "
+                             f"normals are {images.shape[1:]}")
+        images[i] = image
+    bad = ~(np.isfinite(images) & (images >= 0)).all(axis=(1, 2))
+    if bad.any():
+        raise ValueError(f"{paths[np.argmax(bad)]}: pixels must be finite "
+                         "and nonnegative")
+    mask = np.linalg.norm(normals, axis=2) > 0.5
+    return RenderedScene(normals.shape[0], lights, images, normals, mask, meta)

@@ -517,7 +517,7 @@ def train_alternating(dataset, cfg: TrainConfig):
 # ---------------------------------------------------------------------------
 
 def make_training_set(count, lights_per_point=10, w=32, rng=None,
-                      max_zenith_deg=75.0, min_nz=0.1, dense_lights=1000,
+                      min_nz=0.1, dense_lights=1000,
                       draws_per_point=1):
     """Build (samples, normal, dense map) triples from random sphere points.
 
@@ -526,7 +526,8 @@ def make_training_set(count, lights_per_point=10, w=32, rng=None,
     Lambertian or Blinn-Phong with random parameters.  Each point contributes
     `draws_per_point` independent sparse light sets sharing one dense
     reference map, which diversifies the sparsity patterns seen per surface
-    sample.  Draws whose lights all land in attached shadow are redrawn.
+    sample.  Lights lie within 75 degrees of the zenith; draws whose lights
+    all land in attached shadow are redrawn.
     """
     rng = np.random.default_rng(rng)
     dataset = []
@@ -552,7 +553,7 @@ def make_training_set(count, lights_per_point=10, w=32, rng=None,
         attempts = 0
         while len(draws) < draws_per_point and attempts < 20 * draws_per_point:
             attempts += 1
-            lights = sample_hemisphere_lights(lights_per_point, max_zenith_deg, rng)
+            lights = sample_hemisphere_lights(lights_per_point, 75.0, rng)
             irr = shade(n, lights, brdf)
             if irr.max() <= 0.0:
                 continue

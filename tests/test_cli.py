@@ -12,7 +12,7 @@ import pytest
 import sparseps
 from sparseps.cli import main
 from sparseps.evaluation import read_report
-from sparseps.fileio import read_pgm, read_pfm
+from sparseps.fileio import read_pgm, read_pfm, write_pfm
 from sparseps.mlp import save_model
 from sparseps.render import Lambertian, render_sphere, save_scene
 from sparseps.solvers import new_li_model, new_ne_model
@@ -243,6 +243,104 @@ class TestTrainCommand:
             assert len(lines) == 2
             assert lines[0].startswith("epoch 0 ne ") and lines[0].endswith(" li -")
             assert " li -" not in lines[1]
+
+
+def _set_line(path, index, text):
+    lines = path.read_text().splitlines()
+    lines[index] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _cut_lights(scene):
+    lines = (scene / "lights.txt").read_text().splitlines(keepends=True)
+    (scene / "lights.txt").write_text("".join(lines[:10]))
+
+
+def _set_pixel(scene, value):
+    image = read_pfm(scene / "img_0004.pfm")
+    image[8, 8] = value
+    write_pfm(scene / "img_0004.pfm", image)
+
+
+def _truncate(scene):
+    path = scene / "img_0004.pfm"
+    path.write_bytes(path.read_bytes()[:100])
+
+
+EVAL = ("eval", "--scene", "{scene}", "--trials", 2, "--out", "{out}")
+TRAIN = ("train", "--points", 20, "--epochs", 1, "--batch", 8, "--out", "{out}")
+SCENE_CMDS = {
+    "maps": ("maps", "--scene", "{scene}", "--out", "{out}"),
+    "inpaint": EVAL + ("--solver", "inpaint_ls"),
+    "sweep": ("sweep", "--scene", "{scene}", "--trials", 2, "--out", "{out}"),
+    "inspect": ("inspect", "--scene", "{scene}", "--pixel", "8,8",
+                "--out", "{out}"),
+}
+
+# One row per malformed input: how to break the scene (or None), the
+# command, and the start of the message after "error: ".
+MALFORMED = [
+    pytest.param(_cut_lights, EVAL, "{scene}/lights.txt: 10 lights, but ",
+                 id="lights_cut_to_10_rows"),
+    pytest.param(lambda s: (s / "img_0019.pfm").unlink(), EVAL,
+                 "{scene}/lights.txt: 20 lights, but {scene} holds 19 ",
+                 id="image_missing"),
+    pytest.param(lambda s: _set_line(s / "meta.txt", 1, "lights=21"), EVAL,
+                 "{scene}/meta.txt: lights=21, but ", id="meta_lights_disagree"),
+    pytest.param(lambda s: _set_line(s / "lights.txt", 2, "0 0 -1"), EVAL,
+                 "{scene}/lights.txt: line 3: ", id="light_below_horizon"),
+    pytest.param(lambda s: _set_line(s / "lights.txt", 2, "0.1 0.2"), EVAL,
+                 "{scene}/lights.txt: line 3: ", id="light_row_of_two_numbers"),
+    pytest.param(lambda s: _set_pixel(s, np.nan), EVAL,
+                 "{scene}/img_0004.pfm: pixels must be finite", id="nan_pixel"),
+    pytest.param(lambda s: _set_pixel(s, -0.5), SCENE_CMDS["inpaint"],
+                 "{scene}/img_0004.pfm: pixels must be finite",
+                 id="negative_pixel"),
+    pytest.param(lambda s: write_pfm(s / "img_0004.pfm", np.zeros((16, 8))),
+                 EVAL, "{scene}/img_0004.pfm: image shape ", id="image_shape"),
+    pytest.param(_truncate, EVAL, "{scene}/img_0004.pfm: 86 bytes of pixel "
+                 "data, but a 16 x 16 x 1 PFM holds 1024", id="image_truncated"),
+    pytest.param(None, TRAIN + ("--w", 0), "--w must be >= 2", id="train_w_0"),
+    pytest.param(None, TRAIN + ("--w", -3), "--w must be >= 2", id="train_w_-3"),
+    pytest.param(None, TRAIN + ("--w", 1), "--w must be >= 2", id="train_w_1"),
+    pytest.param(None, SCENE_CMDS["maps"] + ("--w", 0), "--w must be >= 1",
+                 id="maps_w_0"),
+    pytest.param(None, SCENE_CMDS["inpaint"] + ("--w", 0), "--w must be >= 1",
+                 id="eval_inpaint_ls_w_0"),
+    pytest.param(None, EVAL + ("--w", -3), "--w must be >= 1", id="eval_w_-3"),
+    pytest.param(None, SCENE_CMDS["sweep"] + ("--w", 0), "--w must be >= 1",
+                 id="sweep_w_0"),
+    pytest.param(None, SCENE_CMDS["inspect"] + ("--w", 0), "--w must be >= 1",
+                 id="inspect_w_0"),
+    pytest.param(None, SCENE_CMDS["inspect"] + ("--pixel", "8"),
+                 "--pixel takes 2 comma-separated numbers, got '8'",
+                 id="inspect_pixel_8"),
+    pytest.param(None, SCENE_CMDS["sweep"] + ("--sigmas", "a,b"),
+                 "--sigmas takes a list of comma-separated numbers, got 'a,b'",
+                 id="sweep_sigmas_a_b"),
+]
+
+
+class TestMalformedInput:
+    @pytest.fixture(scope="class")
+    def small_scene(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("small") / "scene"
+        assert run("render", "--res", 16, "--lights", 20, "--seed", 9,
+                   "--out", path) == 0
+        return path
+
+    @pytest.mark.parametrize("edit,argv,message", MALFORMED)
+    def test_exits_one_naming_the_input(self, small_scene, tmp_path, capsys,
+                                        edit, argv, message):
+        scene = tmp_path / "scene"
+        shutil.copytree(small_scene, scene)
+        if edit is not None:
+            edit(scene)
+        fill = {"scene": scene, "out": tmp_path / "out"}
+        assert run(*(str(a).format(**fill) for a in argv)) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: " + message.format(**fill))
+        assert sorted(os.listdir(tmp_path)) == ["scene"]
 
 
 class TestExitCodes:

@@ -8,11 +8,16 @@ w = 32, `sparseps eval --solver trained` runs the w = 8 models on the
 scene, and run_trials runs the reloaded w = 32 models on it, so the
 production-width inference path is pinned in float64, not only through a
 report's six digits.  Every later change that moves a bit of these outputs
-has to change a hash below in plain view.  Rerun this module's
-`golden_hashes` on a scratch directory to print the new values.
+has to change a hash below in plain view.  To print the current table,
+run the module on an empty scratch directory:
+
+    PYTHONPATH=src python tests/test_golden.py DIR
 """
 
+import contextlib
 import hashlib
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -156,3 +161,15 @@ def test_w32_batches_straddle_row_blocks():
     args = dict(zip(TRAIN_W32[::2], TRAIN_W32[1::2]))
     points, batch = args["--points"], args["--batch"]
     assert batch > ROWS and batch % ROWS and points % batch < ROWS
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} DIR")
+    # The CLI's progress lines go to stderr, so stdout is the table alone.
+    with contextlib.redirect_stdout(sys.stderr):
+        current = golden_hashes(Path(sys.argv[1]))
+    print("GOLDEN = {")
+    for name, digest in current.items():
+        print(f'    "{name}":\n        "{digest}",')
+    print("}")

@@ -24,7 +24,6 @@ from sparseps.obsmap import (
     build_observation_map,
     build_observation_maps,
     build_sample_maps,
-    load_obsm,
     map_cell_lights,
     mirror,
     mirror_fill,
@@ -563,10 +562,13 @@ class TestExport:
         obs = random_map(16, rng, density=0.5)
         path = tmp_path / "map.obsm"
         save_obsm(obs, path)
-        back = load_obsm(path)
-        assert back.width == 16
-        np.testing.assert_allclose(back.values, obs.values, atol=1e-7)
-        np.testing.assert_array_equal(back.mask, obs.mask)
+        raw = path.read_bytes()
+        # Width, then the float32 values, then the mask bytes, row-major.
+        assert int.from_bytes(raw[4:8], "little") == 16
+        values = np.frombuffer(raw, dtype="<f4", count=256, offset=8)
+        mask = np.frombuffer(raw, dtype=np.uint8, count=256, offset=8 + 4 * 256)
+        np.testing.assert_allclose(values.reshape(16, 16), obs.values, atol=1e-7)
+        np.testing.assert_array_equal(mask.reshape(16, 16), obs.mask)
 
     def test_obsm_layout(self, tmp_path):
         obs = ObservationMap(np.zeros((4, 4)), np.zeros((4, 4), np.uint8))

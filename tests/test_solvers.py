@@ -601,7 +601,7 @@ class TestTraining:
                      for l in model.layers]
             grads[0][0][:, ::7] = 0.0
             lr = 1e-3 * (step + 1)
-            adam_step(model, grads, state, lr, 0.9, 0.999)
+            adam_step(model, grads, state, lr)
             reference_adam_step(reference, grads, ref_state, lr, 0.9, 0.999)
             for got, want in zip(model.layers, reference.layers):
                 assert got.weights.tobytes() == want.weights.tobytes()
