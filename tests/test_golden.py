@@ -7,9 +7,12 @@ through run_trials.  `sparseps maps` exports the scene's maps at w = 8,
 w = 32, `sparseps eval --solver trained` runs the w = 8 models on the
 scene, and run_trials runs the reloaded w = 32 models on it, so the
 production-width inference path is pinned in float64, not only through a
-report's six digits.  Every later change that moves a bit of these outputs
-has to change a hash below in plain view.  To print the current table,
-run the module on an empty scratch directory:
+report's six digits.  make_training_set builds, from one generator, a
+w = 32 set with four draws per point and a w = 8 set with two lights a
+draw, where many draws land all in attached shadow and are redrawn; the
+generator's next draws are hashed with them.  Every later change that
+moves a bit of these outputs has to change a hash below in plain view.
+To print the current table, run the module on an empty scratch directory:
 
     PYTHONPATH=src python tests/test_golden.py DIR
 """
@@ -19,6 +22,7 @@ import hashlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sparseps.cli import main
@@ -31,6 +35,7 @@ from sparseps.evaluation import (
 from sparseps.losses import ROWS
 from sparseps.mlp import load_model
 from sparseps.render import load_scene
+from sparseps.solvers import make_training_set
 
 RENDER = ("--brdf", "blinnphong", "--res", 16, "--lights", 60, "--seed", 5)
 EVAL = ("--solver", "inpaint_ls", "--trials", 8, "--lights", 10, "--seed", 3)
@@ -45,6 +50,9 @@ TRAIN_W32 = ("--points", 40, "--lights", 10, "--w", 32, "--epochs", 3,
 EVAL_TRAINED = ("--solver", "trained", "--w", 8, "--trials", 8,
                 "--lights", 10, "--seed", 3)
 TRAINED_W32 = TrialConfig(n_trials=8, n_lights=10, seed=7)
+TRAINING_SETS = (dict(count=40, lights_per_point=10, w=32, draws_per_point=4),
+                 dict(count=120, lights_per_point=2, w=8, min_nz=0.0,
+                      dense_lights=100, draws_per_point=4))
 
 GOLDEN = {
     "render":
@@ -79,6 +87,8 @@ GOLDEN = {
         "08c21cfec84388401247ef2e7b8ebc3b51f4bc1de0fa823d43041b43311e3da2",
     "trained_w32":
         "6e9739aa3139c871f56c62efc2fe05d555bbcb85b1bb3345bdb571988424d2a2",
+    "training_set":
+        "8c9e5d642ef4ce3dfcf7e5301fe3b765ac9fee466cc1cf2fa6ee469bfabbf9b8",
 }
 
 
@@ -100,6 +110,19 @@ def _sha_dir(path):
     """Hash of every file's name and bytes in a directory, by name."""
     return _sha(*(part for f in sorted(path.iterdir())
                   for part in (f.name.encode(), f.read_bytes())))
+
+
+def _sha_training_sets():
+    """Hash of every field of TRAINING_SETS' triples, built in turn from
+    one generator, and of that generator's next draws."""
+    rng = np.random.default_rng(8)
+    chunks = []
+    for kwargs in TRAINING_SETS:
+        for samples, n, d_gt in make_training_set(rng=rng, **kwargs):
+            chunks += [samples.lights, samples.irradiance, samples.normal, n,
+                       d_gt.values, d_gt.mask]
+    chunks.append(rng.random(4))
+    return _sha(*(np.ascontiguousarray(c).tobytes() for c in chunks))
 
 
 def golden_hashes(directory):
@@ -143,6 +166,7 @@ def golden_hashes(directory):
         "trained_errmap_pfm": _sha((directory / "trained_errmap.pfm").read_bytes()),
         "trained_errmap_pgm": _sha((directory / "trained_errmap.pgm").read_bytes()),
         "trained_w32": _sha_report(trained_w32),
+        "training_set": _sha_training_sets(),
     }
 
 
