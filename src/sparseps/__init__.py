@@ -2,10 +2,10 @@
 
 Recovers per-pixel surface normals from images taken under a handful of
 known directional lights.  The package provides the observation-map
-representation with its mirror and pooling operators, symmetry-based loss
-functions with analytic gradients, a synthetic sphere renderer with
-isotropic BRDFs, a classical least-squares baseline, small trainable
-interpolation/estimation models, and a reproducible evaluation harness.
+representation with its mirror operator, symmetry-based loss functions
+with analytic gradients, a synthetic sphere renderer with isotropic BRDFs,
+a classical least-squares baseline, small trainable interpolation/estimation
+models, and a reproducible evaluation harness.
 """
 
 from .errors import (
@@ -29,7 +29,6 @@ from .geometry import (
 from .obsmap import (
     ObservationMap,
     PixelSamples,
-    avg_pool,
     axis_from_normal,
     build_observation_map,
     map_cell_lights,

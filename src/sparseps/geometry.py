@@ -68,12 +68,23 @@ def sample_hemisphere_lights(count, max_zenith_deg=75.0, rng=None):
     if not 0.0 < max_zenith_deg <= 90.0:
         raise ValueError("max_zenith_deg must be in (0, 90]")
     rng = np.random.default_rng(rng)
+    return _cap_lights(rng.random(count), rng.random(count), max_zenith_deg)
+
+
+def _cap_lights(dz, dphi, max_zenith_deg):
+    """The lights sample_hemisphere_lights makes of its uniform doubles in
+    [0, 1): dz and dphi of any one shape (...) -> (..., 3).
+
+    Each is mapped as rng.uniform(low, high) maps the double d it draws,
+    to low + (high - low) * d.
+    """
     z_min = np.cos(np.radians(max_zenith_deg))
-    # Area-uniform on the cap: z is uniform, azimuth is uniform.
-    z = rng.uniform(z_min, 1.0, size=count)
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=count)
+    # Area-uniform on the cap: z is uniform, azimuth is uniform.  The
+    # azimuth's low is 0, and 0 + x is x.
+    z = z_min + (1.0 - z_min) * dz
+    phi = 2.0 * np.pi * dphi
     r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
 
 
 def _perpendicular_basis(l):

@@ -3,9 +3,9 @@
 A light l with l.z >= 0 projects orthographically onto the x-y plane; the
 unit disk of projected directions is binned into a w x w grid, so every
 surface point's multi-light measurements become a map of shape (w, w) plus
-an occupancy mask.  The module also provides the two operators the symmetry
-losses are built on: mirroring a map about the axis projected by a surface
-normal, and stride-2 average pooling.
+an occupancy mask.  The module also provides the mirror operator the
+symmetry losses are built on: reflecting a map about the axis projected by a
+surface normal.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class ObservationMap:
             raise ValueError("values must be a square 2D grid")
         if self.mask.shape != self.values.shape:
             raise ValueError("mask shape must match values shape")
-        if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
+        if not np.isfinite(self.values).all() or (self.values < 0).any():
             raise ValueError("values must be finite and nonnegative")
 
     @property
@@ -61,7 +61,7 @@ class PixelSamples:
             raise ValueError("irradiance must have shape (k,)")
         if self.lights.shape[0] < 1:
             raise ValueError("at least one sample is required")
-        if not np.all(np.isfinite(self.irradiance)) or np.any(self.irradiance < 0):
+        if not np.isfinite(self.irradiance).all() or (self.irradiance < 0).any():
             raise ValueError("irradiance must be finite and nonnegative")
         if self.normal is not None:
             self.normal = np.asarray(self.normal, dtype=float)
@@ -456,19 +456,6 @@ def mirror(D: ObservationMap, n) -> ObservationMap:
         np.clip(plan.gather(D.values), 0.0, None),
         plan.gather_nearest(D.mask),
     )
-
-
-def avg_pool(D: ObservationMap) -> ObservationMap:
-    """Stride-2 average pooling of the value grid; mask cell is 1 if any
-    input cell in the 2 x 2 block is occupied."""
-    w = D.width
-    if w % 2 != 0:
-        raise ValueError("pooling requires an even map width")
-    h = w // 2
-    blocks = D.values.reshape(h, 2, h, 2)
-    pooled = blocks.mean(axis=(1, 3))
-    mask = D.mask.reshape(h, 2, h, 2).max(axis=(1, 3))
-    return ObservationMap(pooled, mask)
 
 
 def save_pgm(D: ObservationMap, path):

@@ -18,8 +18,7 @@ import numpy as np
 from . import fileio
 from .geometry import VIEW_DIR
 from .errors import DegenerateSamplesError
-from .obsmap import (ObservationMap, PixelSamples, _cell_means, _project_lights,
-                     _scatter_cells)
+from .obsmap import ObservationMap, PixelSamples, build_observation_maps
 
 # Unused here, but bound: bench/run.py traces this name on this module.
 from .obsmap import build_observation_map  # noqa: F401,E402
@@ -27,13 +26,17 @@ from .obsmap import build_observation_map  # noqa: F401,E402
 
 @dataclass
 class Lambertian:
-    """Constant diffuse reflectance."""
+    """Constant diffuse reflectance.
+
+    Like BlinnPhong's, the parameter may also be a (P, 1) column, one row
+    per point of a batch (_irradiance).
+    """
 
     albedo: float = 1.0
     name = "lambertian"
 
     def __post_init__(self):
-        if not 0.0 < self.albedo <= 1.0:
+        if not np.all((0.0 < self.albedo) & (self.albedo <= 1.0)):
             raise ValueError("albedo must be in (0, 1]")
 
     def rho(self, n_dot_l, n_dot_v, v_dot_l):
@@ -50,9 +53,9 @@ class BlinnPhong:
     name = "blinnphong"
 
     def __post_init__(self):
-        if self.kd < 0 or self.ks < 0:
+        if np.any(self.kd < 0) or np.any(self.ks < 0):
             raise ValueError("kd and ks must be >= 0")
-        if self.shininess < 1:
+        if np.any(self.shininess < 1):
             raise ValueError("shininess must be >= 1")
 
     def rho(self, n_dot_l, n_dot_v, v_dot_l):
@@ -83,14 +86,27 @@ def shade(n, l, brdf: BRDFSpec):
     """Irradiance max(n.l, 0) * rho(n.l, n.v, v.l); zero in attached shadow.
 
     `l` may be a single direction (3,) or a stack (k, 3); the return matches.
+    _irradiance on a batch of one.
     """
-    n = np.asarray(n, dtype=float)
     l = np.asarray(l, dtype=float)
-    ndl = l @ n
-    ndv = float(n @ VIEW_DIR)
-    vdl = l @ VIEW_DIR
-    value = np.where(ndl > 0, ndl, 0.0) * brdf.rho(ndl, ndv, vdl)
-    return float(value) if np.ndim(value) == 0 else value
+    value = _irradiance(np.asarray(n, dtype=float)[None], np.atleast_2d(l)[None],
+                        brdf)[0]
+    return float(value[0]) if l.ndim == 1 else value
+
+
+def _irradiance(normals, lights, brdf: BRDFSpec):
+    """shade for P points, each under its own lights -> (P, k).
+
+    normals (P, 3); lights (P, k, 3), or (k, 3) shared by every point;
+    brdf's parameters are scalars or (P, 1) columns.  Every row has the bits
+    shade gives its point alone: matmul makes one gemv l @ n per point
+    (lights @ normals.T, one gemm, gives other bits), n.v and v.l are the z
+    components exactly, and each elementwise op runs along a row as it runs
+    along one point's lights, a parameter column taking a scalar's place.
+    """
+    ndl = np.matmul(lights, normals[:, :, None])[..., 0]
+    rho = brdf.rho(ndl, normals[:, 2:], lights[..., 2])
+    return np.where(ndl > 0, ndl, 0.0) * rho
 
 
 def _shade_pixels(normals, lights, brdf: BRDFSpec):
@@ -200,30 +216,29 @@ def _dense_map_lights(light_count, w):
     return lights
 
 
-@functools.lru_cache(maxsize=None)
-def _dense_map_cells(light_count, w):
-    """Each light's flat cell on the w x w grid, for dense_map_lights(
-    light_count, w): projected once per pair and cached."""
-    return _project_lights(dense_map_lights(light_count, w), w)
-
-
 def make_dense_gt_map(n, brdf: BRDFSpec, light_count=1000, w=32) -> ObservationMap:
     """Densely sampled reference map for a single normal.
 
     Uses the fixed sequence from dense_map_lights so the same arguments
     always produce the same map, bit for bit: build_observation_map's map
-    of those lights, whose cells are projected once per (light_count, w).
+    of those lights.  _dense_gt_maps on a batch of one.
     """
     if light_count < 100:
         raise ValueError("light_count must be >= 100")
-    irr = shade(n, dense_map_lights(light_count, w), brdf)
-    cells, means = _cell_means(_dense_map_cells(int(light_count), int(w)), irr, w * w)
-    peak = irr.max()
-    if not peak > 0.0:
+    return _dense_gt_maps(np.asarray(n, dtype=float)[None], brdf, light_count, w)[0]
+
+
+def _dense_gt_maps(normals, brdf: BRDFSpec, light_count, w):
+    """make_dense_gt_map for P points: normals (P, 3), brdf's parameters
+    scalars or (P, 1) columns.  The points share their lights, so one
+    build_observation_maps averages every cell of every map in light order,
+    and the P maps share one mask."""
+    lights = dense_map_lights(light_count, w)
+    irr = _irradiance(normals, lights, brdf)
+    values, mask, ok = build_observation_maps(lights, irr.T, w)
+    if not ok.all():
         raise DegenerateSamplesError("all sample irradiance values are zero")
-    means /= peak
-    values, mask = _scatter_cells(w, cells, means[:, None])
-    return ObservationMap(values[0], mask)
+    return [ObservationMap(v, mask) for v in values]
 
 
 def save_scene(scene: RenderedScene, directory):

@@ -13,7 +13,9 @@ Three routes from sparse observations to a surface normal:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+import math
+from dataclasses import dataclass, field, fields
 from typing import List
 
 import numpy as np
@@ -24,7 +26,7 @@ from .errors import (
     DivergenceError,
     NormalizationError,
 )
-from .geometry import normalize_with_flip, sample_hemisphere_lights
+from .geometry import _cap_lights, normalize_with_flip
 from .losses import (
     DEFAULT_WEIGHTS,
     LossWeights,
@@ -44,10 +46,12 @@ from .obsmap import (
     map_cell_lights,
     mirror_fill,
 )
-from .render import BlinnPhong, Lambertian, make_dense_gt_map, shade
+from .render import BlinnPhong, Lambertian, _dense_gt_maps, _irradiance
 
-# Unused here, but bound: bench/run.py traces this name on this module.
+# Unused here, but bound: bench/run.py traces these names on this module.
+from .geometry import sample_hemisphere_lights  # noqa: F401,E402
 from .obsmap import build_observation_map  # noqa: F401,E402
+from .render import make_dense_gt_map  # noqa: F401,E402
 
 
 # ---------------------------------------------------------------------------
@@ -527,41 +531,152 @@ def make_training_set(count, lights_per_point=10, w=32, rng=None,
     `draws_per_point` independent sparse light sets sharing one dense
     reference map, which diversifies the sparsity patterns seen per surface
     sample.  Lights lie within 75 degrees of the zenith; draws whose lights
-    all land in attached shadow are redrawn.
+    all land in attached shadow are redrawn, up to 20 * draws_per_point
+    draws a point, and a point left with none is dropped.
+
+    The triples, and rng's state after them, are those of one draw at a
+    time from rng (_Walk); lights, irradiance and dense maps are computed in
+    batches that keep each point's bits.  Raises ValueError naming an
+    argument with which no point could be kept.
     """
+    for name, ok, want in (("count", count >= 0, ">= 0"),
+                           ("lights_per_point", lights_per_point >= 1, ">= 1"),
+                           ("draws_per_point", draws_per_point >= 1, ">= 1"),
+                           ("min_nz", 0.0 <= min_nz < 1.0, "in [0, 1)"),
+                           ("dense_lights", dense_lights >= 100, ">= 100")):
+        if not ok:
+            raise ValueError(f"{name} must be {want}")
     rng = np.random.default_rng(rng)
-    dataset = []
-    points = 0
-    while points < count:
-        x, y = rng.uniform(-1.0, 1.0, size=2)
-        rr = x * x + y * y
-        if rr >= 1.0:
-            continue
-        z = np.sqrt(1.0 - rr)
-        if z < min_nz:
-            continue
-        n = np.array([x, y, z])
-        if rng.uniform() < 0.5:
-            brdf = Lambertian(albedo=float(rng.uniform(0.3, 1.0)))
-        else:
-            brdf = BlinnPhong(
-                kd=float(rng.uniform(0.1, 0.6)),
-                ks=float(rng.uniform(0.2, 1.0)),
-                shininess=float(rng.uniform(4.0, 40.0)),
-            )
-        draws = []
-        attempts = 0
-        while len(draws) < draws_per_point and attempts < 20 * draws_per_point:
-            attempts += 1
-            lights = sample_hemisphere_lights(lights_per_point, 75.0, rng)
-            irr = shade(n, lights, brdf)
-            if irr.max() <= 0.0:
+    walk = _Walk(rng, lights_per_point, draws_per_point, min_nz)
+    draws = walk.run(count)
+    for left in range(walk.pos, 0, -_SKIP_CHUNK):
+        rng.random(min(left, _SKIP_CHUNK))
+    normals, kind, params = walk.points()
+    owner = walk.owner
+    del walk    # its stream, before the maps
+    dense = [None] * len(normals)
+    for rows, brdf in _by_brdf(kind, params, _DENSE_BLOCK):
+        for row, d_gt in zip(rows, _dense_gt_maps(normals[rows], brdf, dense_lights, w)):
+            dense[row] = d_gt
+    normals = list(normals)
+    return [(PixelSamples(l, i, normals[p]), normals[p], dense[p])
+            for (l, i), p in zip(draws, owner)]
+
+
+# Points per batch of dense reference maps.  A batch's temporaries add to
+# the process's peak: 0.4 MiB at 16 points and 1 000 lights, 1.5 MiB at 64.
+_DENSE_BLOCK = 16
+# Doubles per call that moves the caller's generator past the build's draws.
+_SKIP_CHUNK = 1 << 16
+
+
+def _by_brdf(kind, params, block):
+    """(rows, brdf) for batches of up to `block` rows of one reflectance
+    kind, brdf's parameters the (len(rows), 1) columns of params there."""
+    for code, cls in enumerate((Lambertian, BlinnPhong)):
+        rows = np.flatnonzero(kind == code)
+        for start in range(0, rows.size, block):
+            part = rows[start:start + block]
+            yield part, cls(*params[part, :len(fields(cls))].T[:, :, None])
+
+
+class _Walk:
+    """make_training_set's points and draws, decided as one draw at a time
+    from rng decides them, over a copy of rng's stream.
+
+    Every value drawn is a uniform double: rng.uniform(low, high) is
+    low + (high - low) * d for the next double d, and a set of k lights is
+    2k doubles (_cap_lights).  Draws are accepted before they are shaded.
+    """
+
+    def __init__(self, rng, k, draws, min_nz):
+        self._twin = np.random.Generator(copy.deepcopy(rng.bit_generator))
+        self.stream = np.empty(0)
+        self.k, self.draws, self.min_nz = k, draws, min_nz
+        self.pos = 0
+        self.rejected = set()
+        # Per point: (walk start, first draw, x, y, z, BRDF kind, 3 params).
+        self.kept = []
+        # Per draw: where its lights start in the stream, and its point.
+        self.at, self.owner = [], []
+
+    def run(self, count):
+        """Walk until `count` points are kept; returns each draw's (lights
+        (k, 3), irradiance (k,))."""
+        windows, size = [], 64
+        while len(self.kept) < count:
+            # Shade a window of draws.  A draw all in shadow is redrawn,
+            # which moves every draw after it: rewind to its point, and
+            # make the next window short.
+            begin, done = len(self.kept), len(self.at)
+            self._walk(min(count, begin + size))
+            lights, irr = self._shade(done)
+            bad = np.flatnonzero(irr.max(axis=1) <= 0.0)
+            size *= 2
+            if bad.size:
+                self.rejected.add(self.at[done + bad[0]])
+                point = self.owner[done + bad[0]]
+                self.pos, first = self.kept[point][:2]
+                del self.kept[point:], self.at[first:], self.owner[first:]
+                lights, irr = lights[:first - done], irr[:first - done]
+                size = max(8, 2 * (point - begin))
+            windows.append((lights, irr))
+        return [draw for lights, irr in windows for draw in zip(lights, irr)]
+
+    def _read(self, size):
+        """Read the copy's stream ahead to at least `size` doubles."""
+        while self.stream.size < size:
+            more = self._twin.random(max(self.stream.size, 1 << 12))
+            self.stream = np.concatenate([self.stream, more])
+
+    def _uniform(self, low, high):
+        self._read(self.pos + 1)
+        self.pos += 1
+        return low + (high - low) * float(self.stream[self.pos - 1])
+
+    def _walk(self, stop):
+        k, draws = self.k, self.draws
+        while len(self.kept) < stop:
+            start = self.pos
+            x = self._uniform(-1.0, 1.0)
+            y = self._uniform(-1.0, 1.0)
+            rr = x * x + y * y
+            if rr >= 1.0:
                 continue
-            draws.append(PixelSamples(lights, irr, n))
-        if not draws:
-            continue
-        d_gt = make_dense_gt_map(n, brdf, dense_lights, w)
-        for samples in draws:
-            dataset.append((samples, n, d_gt))
-        points += 1
-    return dataset
+            z = math.sqrt(1.0 - rr)
+            if z < self.min_nz:
+                continue
+            if self._uniform(0.0, 1.0) < 0.5:
+                brdf = (0, self._uniform(0.3, 1.0), 0.0, 0.0)
+            else:
+                brdf = (1, self._uniform(0.1, 0.6), self._uniform(0.2, 1.0),
+                        self._uniform(4.0, 40.0))
+            first = len(self.at)
+            for _ in range(20 * draws):
+                if len(self.at) - first == draws:
+                    break
+                if self.pos not in self.rejected:
+                    self.at.append(self.pos)
+                    self.owner.append(len(self.kept))
+                self.pos += 2 * k
+            if len(self.at) > first:
+                self.kept.append((start, first, x, y, z, *brdf))
+
+    def _shade(self, done):
+        """Lights (m, k, 3) and irradiance (m, k) of the draws from `done` on."""
+        self._read(self.pos)
+        at = np.array(self.at[done:])[:, None] + np.arange(self.k)
+        lights = _cap_lights(self.stream[at], self.stream[at + self.k], 75.0)
+        first = self.owner[done]
+        owner = np.array(self.owner[done:]) - first
+        normals, kind, params = self.points(first)
+        irr = np.empty(lights.shape[:2])
+        for rows, brdf in _by_brdf(kind[owner], params[owner], len(owner)):
+            irr[rows] = _irradiance(normals[owner[rows]], lights[rows], brdf)
+        return lights, irr
+
+    def points(self, first=0):
+        """Normals (P, 3), BRDF kinds (P,) and parameters (P, 3) of the kept
+        points from `first` on."""
+        table = np.array([p[2:] for p in self.kept[first:]]).reshape(-1, 7)
+        return table[:, :3], table[:, 3].astype(np.int64), table[:, 4:]

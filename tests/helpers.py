@@ -404,3 +404,97 @@ def break_checkpoint(path, case):
     else:
         raise ValueError(f"unknown case {case!r}")
     path.write_bytes(raw)
+
+
+def avg_pool(D: ObservationMap) -> ObservationMap:
+    """Stride-2 average pooling of the value grid; mask cell is 1 if any
+    input cell in the 2 x 2 block is occupied.  The oracle of the losses'
+    pooled term."""
+    w = D.width
+    if w % 2 != 0:
+        raise ValueError("pooling requires an even map width")
+    h = w // 2
+    blocks = D.values.reshape(h, 2, h, 2)
+    pooled = blocks.mean(axis=(1, 3))
+    mask = D.mask.reshape(h, 2, h, 2).max(axis=(1, 3))
+    return ObservationMap(pooled, mask)
+
+
+def reference_training_set(count, lights_per_point=10, w=32, rng=None,
+                           min_nz=0.1, dense_lights=1000,
+                           draws_per_point=1):
+    """make_training_set one point and one draw at a time, drawing from rng
+    as it goes: the loop the batched build replays."""
+    from sparseps.geometry import sample_hemisphere_lights
+    from sparseps.obsmap import PixelSamples
+    from sparseps.render import BlinnPhong, Lambertian, make_dense_gt_map, shade
+
+    rng = np.random.default_rng(rng)
+    dataset = []
+    points = 0
+    while points < count:
+        x, y = rng.uniform(-1.0, 1.0, size=2)
+        rr = x * x + y * y
+        if rr >= 1.0:
+            continue
+        z = np.sqrt(1.0 - rr)
+        if z < min_nz:
+            continue
+        n = np.array([x, y, z])
+        if rng.uniform() < 0.5:
+            brdf = Lambertian(albedo=float(rng.uniform(0.3, 1.0)))
+        else:
+            brdf = BlinnPhong(
+                kd=float(rng.uniform(0.1, 0.6)),
+                ks=float(rng.uniform(0.2, 1.0)),
+                shininess=float(rng.uniform(4.0, 40.0)),
+            )
+        draws = []
+        attempts = 0
+        while len(draws) < draws_per_point and attempts < 20 * draws_per_point:
+            attempts += 1
+            lights = sample_hemisphere_lights(lights_per_point, 75.0, rng)
+            irr = shade(n, lights, brdf)
+            if irr.max() <= 0.0:
+                continue
+            draws.append(PixelSamples(lights, irr, n))
+        if not draws:
+            continue
+        d_gt = make_dense_gt_map(n, brdf, dense_lights, w)
+        for samples in draws:
+            dataset.append((samples, n, d_gt))
+        points += 1
+    return dataset
+
+
+def _untemper(y):
+    """The MT19937 state word that tempers to the 32-bit output y."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    z = y
+    for _ in range(5):
+        z = y ^ ((z << 7) & 0x9D2C5680)
+    y = z
+    for _ in range(3):
+        z = y ^ (z >> 11)
+    return z
+
+
+def generator_drawing(doubles):
+    """An MT19937-backed Generator whose first draws are `doubles`.
+
+    Each double is a multiple of 2**-53 in [0, 1), at most 312 of them: a
+    draw is two outputs, (a >> 5) * 2**26 + (b >> 6) over 2**53, and with
+    pos = 0 MT19937 outputs its state words, tempered, before it first
+    regenerates them.
+    """
+    words = []
+    for d in doubles:
+        m = int(d * 2.0 ** 53)
+        assert m / 2.0 ** 53 == d, d
+        words += [_untemper((m >> 26) << 5), _untemper((m & (2 ** 26 - 1)) << 6)]
+    fill = np.random.default_rng(0).integers(0, 2 ** 32, 624 - len(words))
+    bit_generator = np.random.MT19937(0)
+    bit_generator.state = {"bit_generator": "MT19937", "state": {
+        "key": np.array(words + fill.tolist(), dtype=np.uint32), "pos": 0}}
+    return np.random.Generator(bit_generator)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    avg_pool,
     random_unit_normal,
     sample_angle_margin_instance,
     sample_margin_instance,
@@ -29,7 +30,7 @@ from sparseps.losses import (
     row_blocks,
     sym_loss,
 )
-from sparseps.obsmap import ObservationMap, avg_pool, axis_from_normal, mirror
+from sparseps.obsmap import ObservationMap, axis_from_normal, mirror
 
 Z = np.array([0.0, 0.0, 1.0])
 

@@ -8,6 +8,7 @@ from sparseps.fileio import read_pgm
 from sparseps.geometry import normalize, sample_hemisphere_lights
 from helpers import (
     ClippedReflection,
+    avg_pool,
     criterion_8_trial,
     parent_observation_maps,
     parent_sample_maps,
@@ -19,7 +20,6 @@ from sparseps.obsmap import (
     ObservationMap,
     PixelSamples,
     ReflectionPlan,
-    avg_pool,
     axis_from_normal,
     build_observation_map,
     build_observation_maps,

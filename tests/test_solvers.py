@@ -8,9 +8,11 @@ import pytest
 from helpers import (
     break_checkpoint,
     criterion_8_trial,
+    generator_drawing,
     reference_adam_step,
     reference_inpaint,
     reference_sample_maps,
+    reference_training_set,
     restrict_inputs,
 )
 from sparseps.evaluation import ModelSolver
@@ -634,6 +636,114 @@ class TestTraining:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train_alternating([], TrainConfig())
+
+
+def _map_owners(dataset):
+    """For each triple, the first-seen index of its map object and of its
+    normal object: which triples share them."""
+    maps, normals = {}, {}
+    return [(maps.setdefault(id(d), len(maps)),
+             normals.setdefault(id(n), len(normals))) for _, n, d in dataset]
+
+
+def assert_same_training_set(got, want):
+    """Every field of every triple byte-equal, shared as in `want`."""
+    assert len(got) == len(want)
+    for (s1, n1, d1), (s2, n2, d2) in zip(got, want):
+        assert s1.normal is n1
+        for a, b in ((s1.lights, s2.lights), (s1.irradiance, s2.irradiance),
+                     (s1.normal, s2.normal), (n1, n2), (d1.values, d2.values),
+                     (d1.mask, d2.mask)):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+    # Each point's draws share one map object, which _Prepared dedups by id.
+    assert _map_owners(got) == _map_owners(want)
+
+
+class TestTrainingSet:
+    """make_training_set against the per-point loop it replays."""
+
+    # The last three rows redraw: at seed 11, 14 of the loop's 914 draws
+    # (three lights), 92 of 492 and 24 of 124 (one light) were all in
+    # attached shadow.
+    GRID = {
+        "w32_draws4": dict(count=300, lights_per_point=10, w=32, draws_per_point=4),
+        "w16": dict(count=200, lights_per_point=10, w=16),
+        "w8_dense200": dict(count=50, lights_per_point=10, w=8, draws_per_point=2,
+                            dense_lights=200),
+        "min_nz_0": dict(count=400, lights_per_point=10, w=16, draws_per_point=4,
+                         min_nz=0.0),
+        "redraws_3_lights": dict(count=300, lights_per_point=3, w=8, min_nz=0.0,
+                                 dense_lights=100, draws_per_point=3),
+        "redraws_1_light": dict(count=200, lights_per_point=1, w=8, min_nz=0.0,
+                                dense_lights=100, draws_per_point=2),
+        "redraws_1_light_1_draw": dict(count=100, lights_per_point=1, w=8,
+                                       min_nz=0.0, dense_lights=100),
+    }
+
+    @pytest.mark.parametrize("name", list(GRID))
+    def test_matches_per_point_loop(self, name):
+        kwargs = self.GRID[name]
+        got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+        assert_same_training_set(make_training_set(rng=got_rng, **kwargs),
+                                 reference_training_set(rng=want_rng, **kwargs))
+        assert got_rng.random(4).tobytes() == want_rng.random(4).tobytes()
+
+    @pytest.mark.parametrize("seed", ["int", "list", "generator", "mt19937"])
+    def test_generator_ends_where_the_loop_leaves_it(self, seed):
+        def make():
+            return {"int": 7, "list": [7, 1],
+                    "generator": np.random.default_rng(7),
+                    "mt19937": np.random.Generator(np.random.MT19937(7))}[seed]
+
+        got_rng, want_rng = make(), make()
+        kwargs = dict(count=30, lights_per_point=2, w=8, min_nz=0.0,
+                      dense_lights=100, draws_per_point=3)
+        # A passed-in generator goes on to a second set, then to plain draws.
+        for _ in range(2):
+            assert_same_training_set(make_training_set(rng=got_rng, **kwargs),
+                                     reference_training_set(rng=want_rng, **kwargs))
+        if seed in ("generator", "mt19937"):
+            assert got_rng.random(4).tobytes() == want_rng.random(4).tobytes()
+
+    def test_point_keeps_its_draws_at_the_attempt_cap(self):
+        # Point 1 sits at the rim, normal (0.99998, 0, 0.0063), Lambertian: a
+        # light at azimuth 0 lights it and one at azimuth pi leaves it in
+        # shadow.  Of its 40 attempts at two draws, one is lit, so it keeps
+        # one draw; point 2, at the rim too, is never lit and is dropped;
+        # point 3 faces the viewer.  Each light set is one z and one azimuth
+        # double.
+        rim = [0.99999, 0.5, 0.25, 0.5]     # x, y, Lambertian, albedo
+        up = [0.5, 0.5, 0.25, 0.5]
+        lit, shadow = [0.5, 0.0], [0.5, 0.5]
+        doubles = rim + lit + shadow * 39 + rim + shadow * 40 + up + lit * 2
+        kwargs = dict(count=2, lights_per_point=1, w=8, min_nz=0.0,
+                      dense_lights=100, draws_per_point=2)
+        got_rng, want_rng = generator_drawing(doubles), generator_drawing(doubles)
+        got = make_training_set(rng=got_rng, **kwargs)
+        assert_same_training_set(got, reference_training_set(rng=want_rng, **kwargs))
+        assert [round(float(n[0]), 5) for _, n, _ in got] == [0.99998, 0.0, 0.0]
+        assert got_rng.random(4).tobytes() == want_rng.random(4).tobytes()
+
+    ARGUMENTS = [("count", -1), ("lights_per_point", 0), ("draws_per_point", 0),
+                 ("min_nz", 1.0), ("min_nz", -0.1), ("dense_lights", 99)]
+
+    @pytest.mark.parametrize("name,value", ARGUMENTS,
+                             ids=[f"{n}_{v}" for n, v in ARGUMENTS])
+    def test_rejects_an_argument_before_drawing(self, name, value):
+        # draws_per_point < 1 and min_nz >= 1 keep no point, so a build
+        # would never end.
+        rng = np.random.default_rng(3)
+        kwargs = dict(count=4, lights_per_point=10, w=8, dense_lights=100)
+        kwargs[name] = value
+        with pytest.raises(ValueError, match=name):
+            make_training_set(rng=rng, **kwargs)
+        assert rng.random() == np.random.default_rng(3).random()
+
+    def test_empty_set_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        assert make_training_set(0, rng=rng) == []
+        assert rng.random() == np.random.default_rng(3).random()
 
 
 class TestInferAndCheckpoints:
