@@ -145,6 +145,8 @@ def _epoch_loss(value):
 
 def _run_train(args):
     _at_least(args.w, 2, "--w")
+    _at_least(args.lights, 1, "--lights")
+    _at_least(args.points, 1, "--points")
     rng = np.random.default_rng(args.seed)
     dataset = make_training_set(args.points, args.lights, args.w, rng)
     cfg = TrainConfig(

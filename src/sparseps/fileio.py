@@ -30,8 +30,9 @@ def write_pfm(path, image):
 def read_pfm(path):
     """Read a PFM file written by write_pfm (or any little-endian PFM).
 
-    Raises ValueError naming the file when its header is unknown or its
-    data is not the 4 * width * height * channels bytes the header gives.
+    Raises ValueError naming the file when its header is unknown, its size
+    line is not two integers, its scale line is not a number, or its data
+    is not the 4 * width * height * channels bytes the header gives.
     """
     with open(path, "rb") as fh:
         header = fh.readline().strip()
@@ -41,8 +42,13 @@ def read_pfm(path):
             channels = 3
         else:
             raise ValueError(f"{path}: bad PFM header {header!r}")
-        w, h = (int(tok) for tok in fh.readline().split())
-        scale = float(fh.readline())
+        size, scale = fh.readline(), fh.readline()
+        try:
+            w, h = map(int, size.split())
+            scale = float(scale)
+        except ValueError:
+            raise ValueError(f"{path}: bad PFM header: size line {size!r}, "
+                             f"scale line {scale!r}") from None
         dtype = "<f4" if scale < 0 else ">f4"
         count = w * h * channels
         raw = fh.read()

@@ -251,7 +251,9 @@ def load_model(path) -> MlpModel:
     """Read a checkpoint written by save_model.
 
     Raises ValueError naming the file when it is not a checkpoint, is
-    truncated or has an unknown activation code.
+    truncated, has bytes after its last layer, has no layer, or has an
+    unknown activation code or a non-finite weight or bias (naming the
+    layer).
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -270,6 +272,8 @@ def load_model(path) -> MlpModel:
     version, n_layers = struct.unpack("<II", take(8, "the header"))
     if version != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    if n_layers == 0:
+        raise ValueError(f"{path}: checkpoint has no layers")
     layers = []
     for k in range(n_layers):
         rows, cols, code = struct.unpack("<IIB", take(9, f"layer {k}'s shape"))
@@ -278,9 +282,14 @@ def load_model(path) -> MlpModel:
         weights = np.frombuffer(take(4 * rows * cols, f"layer {k}'s weights"),
                                 dtype="<f4")
         bias = np.frombuffer(take(4 * rows, f"layer {k}'s bias"), dtype="<f4")
+        for name, values in (("weights", weights), ("bias", bias)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{path}: non-finite value in layer {k}'s {name}")
         layers.append(DenseLayer(
             weights.reshape(rows, cols).astype(float),
             bias.astype(float),
             _ACTIVATION_NAMES[code],
         ))
+    if pos != len(data):
+        raise ValueError(f"{path}: {len(data) - pos} bytes after the last layer")
     return MlpModel(layers)

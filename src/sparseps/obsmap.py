@@ -164,29 +164,6 @@ def _scatter_cells(w, cells, values):
     return maps.reshape(-1, w, w), mask.reshape(w, w)
 
 
-def build_sample_maps(samples, w):
-    """The occupied cells of many points' maps, each with its own lights.
-
-    samples is a sequence of PixelSamples, whose light counts may differ.
-    Returns (cells, values): cells (n,), increasing, index the stacked flat
-    maps (i * w*w + row * w + col), and each value carries the bits
-    build_observation_map gives its point; every other cell is zero.  Raises
-    DegenerateSamplesError when a point's irradiance is all zero.
-    """
-    sizes = [len(s) for s in samples]
-    size = w * w
-    irr = np.concatenate([s.irradiance for s in samples])
-    cell = _project_lights(np.concatenate([s.lights for s in samples]), w)
-    cell += np.repeat(np.arange(len(samples)) * size, sizes)
-    occupied, means = _cell_means(cell, irr, len(samples) * size)
-    peak = np.maximum.reduceat(irr, np.cumsum([0] + sizes[:-1]))
-    if not (peak > 0.0).all():
-        raise DegenerateSamplesError(
-            f"sample {np.argmin(peak > 0.0)}: all sample irradiance values are zero")
-    means /= peak[occupied // size]
-    return occupied, means
-
-
 def build_observation_map(samples: PixelSamples, w: int) -> ObservationMap:
     """One point's map: build_observation_maps on a single column.
 

@@ -225,20 +225,21 @@ def make_dense_gt_map(n, brdf: BRDFSpec, light_count=1000, w=32) -> ObservationM
     """
     if light_count < 100:
         raise ValueError("light_count must be >= 100")
-    return _dense_gt_maps(np.asarray(n, dtype=float)[None], brdf, light_count, w)[0]
+    values, mask = _dense_gt_maps(np.asarray(n, dtype=float)[None], brdf, light_count, w)
+    return ObservationMap(values[0], mask)
 
 
 def _dense_gt_maps(normals, brdf: BRDFSpec, light_count, w):
-    """make_dense_gt_map for P points: normals (P, 3), brdf's parameters
-    scalars or (P, 1) columns.  The points share their lights, so one
-    build_observation_maps averages every cell of every map in light order,
-    and the P maps share one mask."""
+    """make_dense_gt_map's (values (P, w, w), mask) for P points: normals
+    (P, 3), brdf's parameters scalars or (P, 1) columns.  The points share
+    their lights, so one build_observation_maps averages every cell of every
+    map in light order, and the P maps share the mask."""
     lights = dense_map_lights(light_count, w)
     irr = _irradiance(normals, lights, brdf)
     values, mask, ok = build_observation_maps(lights, irr.T, w)
     if not ok.all():
         raise DegenerateSamplesError("all sample irradiance values are zero")
-    return [ObservationMap(v, mask) for v in values]
+    return values, mask
 
 
 def save_scene(scene: RenderedScene, directory):

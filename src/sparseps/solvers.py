@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import List
 
 import numpy as np
@@ -41,8 +41,9 @@ from .mlp import AdamState, MlpModel, adam_step, init_model
 from .obsmap import (
     ObservationMap,
     PixelSamples,
+    _cell_means,
+    _project_lights,
     axis_from_normal,
-    build_sample_maps,
     map_cell_lights,
     mirror_fill,
 )
@@ -266,17 +267,12 @@ class TrainTrace:
 
 class _SparseRows:
     """A (count, size) stack, zero outside a few cells of each row, kept as
-    cells and values (count, k): each row's occupied cells, the last one
-    repeated as padding (scattering its value twice), and their values.
-    Indexing hands out dense rows: zeros with the values scattered in."""
+    cells and values (count, k): a cell may repeat in its row, each time
+    with the same value.  Indexing hands out dense rows: zeros with the
+    values scattered in."""
 
-    def __init__(self, flat, values, count, size):
-        counts = np.bincount(flat // size, minlength=count)
-        starts = np.cumsum(counts) - counts
-        pick = starts[:, None] + np.minimum(np.arange(counts.max()), counts[:, None] - 1)
-        self.cells = (flat % size)[pick]
-        self.values = values[pick]
-        self.size = size
+    def __init__(self, cells, values, size):
+        self.cells, self.values, self.size = cells, values, size
 
     def __getitem__(self, idx):
         cells = self.cells[idx]
@@ -303,25 +299,33 @@ class _SharedRows:
 
 
 class _Prepared:
-    """Dataset tensors shared by every training step.
+    """A TrainingSet's tensors, shared by every training step.
 
-    The sparse maps s_flat and their masks m_flat (uint8 0/1) keep each
-    sample's occupied cells (obsmap.build_sample_maps); the reference maps
-    keep one row per map object, which make_training_set shares among a
-    point's draws.  Indexed, each hands out the bits of dense rows.
+    The sparse maps s_flat and their masks m_flat (uint8 0/1) keep the
+    cells of each draw's lights and the cells' values, found for all draws
+    in one pass with the bits of obsmap.build_observation_map; the
+    reference maps keep one row per point.  Indexed, each hands out the
+    bits of dense rows.
     """
 
     def __init__(self, dataset, w):
-        self.count = len(dataset)
-        cells, values = build_sample_maps([samples for samples, _, _ in dataset], w)
-        self.s_flat = _SparseRows(cells, values, self.count, w * w)
-        self.m_flat = _SparseRows(cells, np.ones(cells.size, np.uint8), self.count, w * w)
-        self.n_gt = np.stack([np.asarray(n, dtype=float) for _, n, _ in dataset])
-        maps = {}
-        point = np.array([maps.setdefault(id(d), (len(maps), d))[0] for _, _, d in dataset])
-        table = np.stack([d.values.ravel() for _, d in maps.values()])
-        self.d_gt_flat = _SharedRows(table, point)
-        self.d_gt_pooled_flat = _SharedRows(_pool_quarter(table, w), point)
+        irr, size = dataset.irradiance, w * w
+        self.count = len(irr)
+        cell = _project_lights(dataset.lights.reshape(-1, 3), w).reshape(irr.shape)
+        flat = cell + size * np.arange(self.count)[:, None]
+        cells, values = _cell_means(flat.ravel(), irr.ravel(), self.count * size)
+        peak = irr.max(axis=1)
+        if not (peak > 0.0).all():
+            raise DegenerateSamplesError(
+                f"sample {np.argmin(peak > 0.0)}: all sample irradiance values are zero")
+        values /= peak[cells // size]
+        # Each draw's lights in order, each holding its cell's value.
+        self.s_flat = _SparseRows(cell, values[np.searchsorted(cells, flat)], size)
+        self.m_flat = _SparseRows(cell, np.ones(cell.shape, np.uint8), size)
+        self.n_gt = dataset.normals[dataset.owner]
+        table = dataset.dense.reshape(len(dataset.dense), w * w)
+        self.d_gt_flat = _SharedRows(table, dataset.owner)
+        self.d_gt_pooled_flat = _SharedRows(_pool_quarter(table, w), dataset.owner)
         self.gt_axes = axis_from_normal(self.n_gt)
         self.w = w
 
@@ -468,7 +472,7 @@ def _dense_map(row, w):
 
 
 def train_alternating(dataset, cfg: TrainConfig):
-    """Alternating Adam optimization of the two models.
+    """Alternating Adam optimization of the two models on a TrainingSet.
 
     Repeats blocks of NE_STEPS_PER_LI_STEP estimation updates followed by
     one interpolation update, drawing minibatches from a reshuffled pass over
@@ -478,7 +482,7 @@ def train_alternating(dataset, cfg: TrainConfig):
     """
     if not dataset:
         raise ValueError("dataset must be nonempty")
-    w = dataset[0][2].width
+    w = dataset.mask.shape[0]
     if w % 2:
         raise ValueError(f"map width w = {w} must be even: the asymmetric "
                          "loss pools 2 x 2 cells")
@@ -520,10 +524,36 @@ def train_alternating(dataset, cfg: TrainConfig):
 # Synthetic training data
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class TrainingSet:
+    """make_training_set's draws as arrays.  len() counts the draws, ts[i]
+    builds draw i's (PixelSamples, normal, ObservationMap) triple, and so
+    does iteration; ts[a:b] keeps those draws and every point."""
+
+    lights: np.ndarray      # (D, k, 3), per draw
+    irradiance: np.ndarray  # (D, k)
+    owner: np.ndarray       # (D,), the index of the draw's point
+    normals: np.ndarray     # (P, 3), per point
+    dense: np.ndarray       # (P, w, w), its reference map
+    mask: np.ndarray        # (w, w), which every point's map shares
+
+    def __len__(self):
+        return len(self.owner)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return replace(self, lights=self.lights[i],
+                           irradiance=self.irradiance[i], owner=self.owner[i])
+        n = self.normals[self.owner[i]]
+        return (PixelSamples(self.lights[i], self.irradiance[i], n), n,
+                ObservationMap(self.dense[self.owner[i]], self.mask))
+
+
 def make_training_set(count, lights_per_point=10, w=32, rng=None,
                       min_nz=0.1, dense_lights=1000,
-                      draws_per_point=1):
-    """Build (samples, normal, dense map) triples from random sphere points.
+                      draws_per_point=1) -> TrainingSet:
+    """A TrainingSet of draws of `lights_per_point` lights on `count` random
+    sphere points, each point with make_dense_gt_map's map.
 
     Normals are drawn uniformly over the unit disk (matching the pixel
     distribution of an orthographic sphere); the reflectance of each point is
@@ -534,8 +564,8 @@ def make_training_set(count, lights_per_point=10, w=32, rng=None,
     all land in attached shadow are redrawn, up to 20 * draws_per_point
     draws a point, and a point left with none is dropped.
 
-    The triples, and rng's state after them, are those of one draw at a
-    time from rng (_Walk); lights, irradiance and dense maps are computed in
+    The draws, and rng's state after them, are those of one draw at a time
+    from rng (_Walk); lights, irradiance and dense maps are computed in
     batches that keep each point's bits.  Raises ValueError naming an
     argument with which no point could be kept.
     """
@@ -548,19 +578,17 @@ def make_training_set(count, lights_per_point=10, w=32, rng=None,
             raise ValueError(f"{name} must be {want}")
     rng = np.random.default_rng(rng)
     walk = _Walk(rng, lights_per_point, draws_per_point, min_nz)
-    draws = walk.run(count)
+    lights, irradiance = walk.run(count)
     for left in range(walk.pos, 0, -_SKIP_CHUNK):
         rng.random(min(left, _SKIP_CHUNK))
     normals, kind, params = walk.points()
-    owner = walk.owner
+    owner = np.array(walk.owner, dtype=np.int64)
     del walk    # its stream, before the maps
-    dense = [None] * len(normals)
+    dense = np.empty((len(normals), w, w))
+    mask = np.zeros((w, w), np.uint8)    # an empty set has no map to mark
     for rows, brdf in _by_brdf(kind, params, _DENSE_BLOCK):
-        for row, d_gt in zip(rows, _dense_gt_maps(normals[rows], brdf, dense_lights, w)):
-            dense[row] = d_gt
-    normals = list(normals)
-    return [(PixelSamples(l, i, normals[p]), normals[p], dense[p])
-            for (l, i), p in zip(draws, owner)]
+        dense[rows], mask = _dense_gt_maps(normals[rows], brdf, dense_lights, w)
+    return TrainingSet(lights, irradiance, owner, normals, dense, mask)
 
 
 # Points per batch of dense reference maps.  A batch's temporaries add to
@@ -601,9 +629,9 @@ class _Walk:
         self.at, self.owner = [], []
 
     def run(self, count):
-        """Walk until `count` points are kept; returns each draw's (lights
-        (k, 3), irradiance (k,))."""
-        windows, size = [], 64
+        """Walk until `count` points are kept; returns every draw's lights
+        (D, k, 3) and irradiance (D, k)."""
+        windows, size = [(np.empty((0, self.k, 3)), np.empty((0, self.k)))], 64
         while len(self.kept) < count:
             # Shade a window of draws.  A draw all in shadow is redrawn,
             # which moves every draw after it: rewind to its point, and
@@ -621,7 +649,7 @@ class _Walk:
                 lights, irr = lights[:first - done], irr[:first - done]
                 size = max(8, 2 * (point - begin))
             windows.append((lights, irr))
-        return [draw for lights, irr in windows for draw in zip(lights, irr)]
+        return tuple(np.concatenate(parts) for parts in zip(*windows))
 
     def _read(self, size):
         """Read the copy's stream ahead to at least `size` doubles."""

@@ -141,7 +141,7 @@ def parent_observation_maps(lights, irradiance_matrix, w):
 
 
 def parent_sample_maps(samples, w):
-    """build_sample_maps dividing every cell of every map, as before only
+    """_Prepared's sample maps dividing every cell of every map, as before only
     the occupied cells were divided."""
     sizes = [len(s) for s in samples]
     irr = np.concatenate([s.irradiance for s in samples])

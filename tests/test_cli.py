@@ -267,8 +267,31 @@ def _truncate(scene):
     path.write_bytes(path.read_bytes()[:100])
 
 
+def _pfm_header(scene, lines, data=True):
+    """Replace img_0004.pfm's size and scale lines by `lines`, and drop its
+    pixel data unless `data`."""
+    path = scene / "img_0004.pfm"
+    raw = path.read_bytes().split(b"\n", 3)
+    path.write_bytes(raw[0] + b"\n" + lines + (raw[3] if data else b""))
+
+
+def _save_models(scene, edit=None, tail=b""):
+    """Save w = 4 models f and g as scene/model/li.spln and ne.spln, after
+    edit(li, ne) changes them, and append `tail` to li.spln."""
+    rng = np.random.default_rng(44)
+    li, ne = new_li_model(4, rng, hidden=(4,)), new_ne_model(4, rng, hidden=(4,))
+    if edit is not None:
+        edit(li, ne)
+    (scene / "model").mkdir()
+    save_model(li, scene / "model" / "li.spln")
+    save_model(ne, scene / "model" / "ne.spln")
+    with open(scene / "model" / "li.spln", "ab") as fh:
+        fh.write(tail)
+
+
 EVAL = ("eval", "--scene", "{scene}", "--trials", 2, "--out", "{out}")
 TRAIN = ("train", "--points", 20, "--epochs", 1, "--batch", 8, "--out", "{out}")
+TRAINED = EVAL + ("--solver", "trained", "--model", "{scene}/model", "--w", 4)
 SCENE_CMDS = {
     "maps": ("maps", "--scene", "{scene}", "--out", "{out}"),
     "inpaint": EVAL + ("--solver", "inpaint_ls"),
@@ -300,9 +323,35 @@ MALFORMED = [
                  EVAL, "{scene}/img_0004.pfm: image shape ", id="image_shape"),
     pytest.param(_truncate, EVAL, "{scene}/img_0004.pfm: 86 bytes of pixel "
                  "data, but a 16 x 16 x 1 PFM holds 1024", id="image_truncated"),
+    pytest.param(lambda s: _pfm_header(s, b"16\n-1.0\n"), EVAL,
+                 "{scene}/img_0004.pfm: bad PFM header: size line b'16\\n'",
+                 id="pfm_size_of_one_number"),
+    pytest.param(lambda s: _pfm_header(s, b"16 16\n", data=False), EVAL,
+                 "{scene}/img_0004.pfm: bad PFM header: size line b'16 16\\n', "
+                 "scale line b''", id="pfm_ends_before_scale_line"),
+    pytest.param(lambda s: _save_models(s, tail=b"\0\0"), TRAINED,
+                 "{scene}/model/li.spln: 2 bytes after the last layer",
+                 id="checkpoint_trailing_bytes"),
+    pytest.param(lambda s: _save_models(s, lambda li, ne: li.layers.clear()),
+                 TRAINED, "{scene}/model/li.spln: checkpoint has no layers",
+                 id="checkpoint_no_layers"),
+    pytest.param(lambda s: _save_models(
+        s, lambda li, ne: np.put(li.layers[0].weights, 5, np.nan)), TRAINED,
+                 "{scene}/model/li.spln: non-finite value in layer 0's weights",
+                 id="checkpoint_nan_weight"),
+    pytest.param(lambda s: _save_models(
+        s, lambda li, ne: np.put(ne.layers[1].bias, 0, np.inf)), TRAINED,
+                 "{scene}/model/ne.spln: non-finite value in layer 1's bias",
+                 id="checkpoint_inf_bias"),
     pytest.param(None, TRAIN + ("--w", 0), "--w must be >= 2", id="train_w_0"),
     pytest.param(None, TRAIN + ("--w", -3), "--w must be >= 2", id="train_w_-3"),
     pytest.param(None, TRAIN + ("--w", 1), "--w must be >= 2", id="train_w_1"),
+    pytest.param(None, TRAIN + ("--lights", 0), "--lights must be >= 1, got 0",
+                 id="train_lights_0"),
+    pytest.param(None, TRAIN + ("--points", -2), "--points must be >= 1, got -2",
+                 id="train_points_-2"),
+    pytest.param(None, TRAIN + ("--points", 0), "--points must be >= 1, got 0",
+                 id="train_points_0"),
     pytest.param(None, SCENE_CMDS["maps"] + ("--w", 0), "--w must be >= 1",
                  id="maps_w_0"),
     pytest.param(None, SCENE_CMDS["inpaint"] + ("--w", 0), "--w must be >= 1",

@@ -23,7 +23,6 @@ from sparseps.obsmap import (
     axis_from_normal,
     build_observation_map,
     build_observation_maps,
-    build_sample_maps,
     map_cell_lights,
     mirror,
     mirror_fill,
@@ -32,16 +31,30 @@ from sparseps.obsmap import (
     save_obsm,
     save_pgm,
 )
+from sparseps.solvers import TrainingSet, _Prepared
+
+
+def sample_maps(samples, w):
+    """solvers._Prepared's training maps of samples of one light count:
+    its sparse store s_flat and mask store m_flat, on a TrainingSet whose
+    draws share one zero point."""
+    dataset = TrainingSet(np.stack([s.lights for s in samples]),
+                          np.stack([s.irradiance for s in samples]),
+                          np.zeros(len(samples), np.int64), np.zeros((1, 3)),
+                          np.zeros((1, w, w)), np.zeros((w, w), np.uint8))
+    prep = _Prepared(dataset, w)
+    return prep.s_flat, prep.m_flat
 
 
 def scattered_sample_maps(samples, w):
-    """build_sample_maps' occupied cells and values scattered into zeroed
-    (len(samples), w*w) maps and uint8 0/1 masks."""
-    cells, sparse = build_sample_maps(samples, w)
+    """The training maps, from one stack of samples per light count, as
+    dense (len(samples), w*w) maps and uint8 0/1 masks in sample order."""
     values = np.zeros((len(samples), w * w))
-    values.reshape(-1)[cells] = sparse
     mask = np.zeros(values.shape, np.uint8)
-    mask.reshape(-1)[cells] = 1
+    for k in {len(s) for s in samples}:
+        rows = [i for i, s in enumerate(samples) if len(s) == k]
+        values[rows], mask[rows] = map(np.asarray,
+                                       sample_maps([samples[i] for i in rows], w))
     return values, mask
 
 
@@ -481,7 +494,7 @@ class TestMirrorFill:
 
 class TestBuildSampleMaps:
     """The occupied cells of training maps, each with its own lights, found
-    in one pass."""
+    in one pass by solvers._Prepared."""
 
     @staticmethod
     def samples(rng, counts):
@@ -494,7 +507,7 @@ class TestBuildSampleMaps:
 
     def test_matches_per_sample_maps_bit_for_bit(self):
         rng = np.random.default_rng(41)
-        samples = self.samples(rng, [1, 3, 10, 40, 2, 17])
+        samples = self.samples(rng, [1, 3, 10, 40, 2, 17, 10])
         # Two lights in one cell: their mean is what the map holds.
         samples.append(PixelSamples([[0.1, 0.1, 0.99], [0.1001, 0.1001, 0.99],
                                      [0.5, 0.0, 0.866]], [0.3, 0.7, 0.2]))
@@ -508,8 +521,14 @@ class TestBuildSampleMaps:
                 one = build_observation_map(s, w)
                 assert v.tobytes() == one.values.ravel().tobytes()
                 np.testing.assert_array_equal(m, one.mask.ravel())
-        cells, _ = build_sample_maps(samples, 32)
-        assert (np.diff(cells) > 0).all() and cells.size == mask.sum()
+        for k in (3, 10):
+            same_k = [s for s in samples if len(s) == k]
+            cells = sample_maps(same_k, 32)[0].cells
+            # Each row: the cells of its draw's lights, in light order.
+            assert len(same_k) > 1
+            assert cells.tolist() == [[row * 32 + col for row, col in
+                                       (project_light(l, 32) for l in s.lights)]
+                                      for s in same_k]
         row, col = project_light([0.1, 0.1, 0.99], 32)
         assert project_light([0.1001, 0.1001, 0.99], 32) == (row, col)
         assert mask[-1].sum() == 2
@@ -517,10 +536,10 @@ class TestBuildSampleMaps:
 
     def test_all_zero_sample_raises(self):
         rng = np.random.default_rng(42)
-        samples = self.samples(rng, [5, 4, 6])
-        samples[1] = PixelSamples(samples[1].lights, np.zeros(4))
+        samples = self.samples(rng, [5, 5, 5])
+        samples[1] = PixelSamples(samples[1].lights, np.zeros(5))
         with pytest.raises(DegenerateSamplesError, match="sample 1"):
-            build_sample_maps(samples, 16)
+            sample_maps(samples, 16)
         with pytest.raises(DegenerateSamplesError):
             reference_sample_maps(samples, 16)
 

@@ -1,5 +1,6 @@
 """Tests for the LS baseline, inpainting, models, and alternating training."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,6 +47,7 @@ from sparseps.obsmap import (
 from sparseps.render import Lambertian, make_dense_gt_map, shade
 from sparseps.solvers import (
     TrainConfig,
+    TrainingSet,
     _Prepared,
     li_objective,
     li_objective_and_grads,
@@ -483,11 +485,7 @@ class TestTraining:
         # 200 sphere points, lr 1e-3, 50 epochs: mean estimation loss in the
         # final epoch must come in below the first epoch's.
         rng = np.random.default_rng(33)
-        dataset = []
-        for samples, n, d_gt in make_training_set(400, 10, 16, rng):
-            dataset.append((samples, n, d_gt))
-            if len(dataset) == 200:
-                break
+        dataset = make_training_set(400, 10, 16, rng)[:200]
         cfg = TrainConfig(learning_rate=1e-3, batch_size=64, epochs=50, seed=2,
                           li_hidden=(64, 64), ne_hidden=(32, 16))
         _, _, trace = train_alternating(dataset, cfg)
@@ -496,27 +494,26 @@ class TestTraining:
         assert last < first
 
     def test_prepared_maps_match_per_sample_reference(self):
-        # Mixed light counts, a shared cell, and byte-equal maps and masks.
+        # A shared cell, a draw at the rim, and byte-equal maps and masks.
         rng = np.random.default_rng(37)
         dataset = make_training_set(20, lights_per_point=8, w=16, rng=rng,
                                     dense_lights=200)
-        for k in (1, 3, 30):
-            lights = sample_hemisphere_lights(k, 75.0, rng)
-            dataset.append((PixelSamples(lights, rng.uniform(0.1, 1.0, k)),
-                            dataset[0][1], dataset[0][2]))
-        lights = [[0.2, 0.2, 0.96], [0.2001, 0.2, 0.96], [-0.5, 0.1, 0.86]]
-        dataset.append((PixelSamples(lights, [0.4, 0.9, 0.1]),
-                        dataset[0][1], dataset[0][2]))
+        lights = dataset.lights.copy()
+        lights[3, :3] = [[0.2, 0.2, 0.96], [0.2001, 0.2, 0.96], [-0.5, 0.1, 0.86]]
+        lights[5] = sample_hemisphere_lights(8, 90.0, rng)
+        dataset = replace(dataset, lights=lights)
         prep = _Prepared(dataset, 16)
+        assert np.asarray(prep.m_flat)[3].sum() < 8
         values, mask = reference_sample_maps([s for s, _, _ in dataset], 16)
         assert np.asarray(prep.s_flat).tobytes() == values.tobytes()
         assert np.asarray(prep.m_flat).tobytes() == mask.astype(np.uint8).tobytes()
 
     def test_prepared_rejects_all_zero_sample(self):
         dataset = self._tiny_dataset(4, 8, seed=38)
-        samples, n, d_gt = dataset[2]
-        dataset[2] = (PixelSamples(samples.lights, np.zeros(len(samples))), n, d_gt)
-        with pytest.raises(DegenerateSamplesError):
+        irradiance = dataset.irradiance.copy()
+        irradiance[2] = 0.0
+        dataset = replace(dataset, irradiance=irradiance)
+        with pytest.raises(DegenerateSamplesError, match="sample 2"):
             _Prepared(dataset, 8)
 
     @staticmethod
@@ -535,8 +532,10 @@ class TestTraining:
         dataset = make_training_set(6, w=32, rng=rng, dense_lights=200,
                                     draws_per_point=4)
         if not shared:
-            dataset = [(s, n, ObservationMap(d.values.copy(), d.mask.copy()))
-                       for s, n, d in dataset]
+            owner = dataset.owner
+            dataset = replace(dataset, owner=np.arange(len(dataset)),
+                              normals=dataset.normals[owner],
+                              dense=dataset.dense[owner])
         prep = _Prepared(dataset, 32)
         assert len(prep.d_gt_flat.table) == (6 if shared else 24)
         dense = self._dense_prep(prep)
@@ -639,25 +638,35 @@ class TestTraining:
 
 
 def _map_owners(dataset):
-    """For each triple, the first-seen index of its map object and of its
-    normal object: which triples share them."""
+    """For each triple of a list, the first-seen index of its map object,
+    which is also that of its normal object: which triples share a point."""
     maps, normals = {}, {}
-    return [(maps.setdefault(id(d), len(maps)),
-             normals.setdefault(id(n), len(normals))) for _, n, d in dataset]
+    owners = [(maps.setdefault(id(d), len(maps)),
+               normals.setdefault(id(n), len(normals))) for _, n, d in dataset]
+    assert all(m == n for m, n in owners)
+    return [m for m, _ in owners]
+
+
+def assert_same_triple(got, want):
+    """Every field of two (samples, normal, dense map) triples byte-equal."""
+    (s1, n1, d1), (s2, n2, d2) = got, want
+    assert s1.normal is n1
+    for a, b in ((s1.lights, s2.lights), (s1.irradiance, s2.irradiance),
+                 (s1.normal, s2.normal), (n1, n2), (d1.values, d2.values),
+                 (d1.mask, d2.mask)):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
 
 
 def assert_same_training_set(got, want):
-    """Every field of every triple byte-equal, shared as in `want`."""
-    assert len(got) == len(want)
-    for (s1, n1, d1), (s2, n2, d2) in zip(got, want):
-        assert s1.normal is n1
-        for a, b in ((s1.lights, s2.lights), (s1.irradiance, s2.irradiance),
-                     (s1.normal, s2.normal), (n1, n2), (d1.values, d2.values),
-                     (d1.mask, d2.mask)):
-            assert a.shape == b.shape and a.dtype == b.dtype
-            assert a.tobytes() == b.tobytes()
-    # Each point's draws share one map object, which _Prepared dedups by id.
-    assert _map_owners(got) == _map_owners(want)
+    """Every triple of the TrainingSet `got` byte-equal to the list
+    `want`'s, its points shared as in `want`."""
+    assert isinstance(got, TrainingSet) and len(got) == len(want)
+    for pair in zip(got, want):
+        assert_same_triple(*pair)
+    # Each point's draws share one map: one row of got.dense.
+    assert got.owner.tolist() == _map_owners(want)
+    assert len(got.normals) == len(got.dense) == len(set(_map_owners(want)))
 
 
 class TestTrainingSet:
@@ -740,9 +749,49 @@ class TestTrainingSet:
             make_training_set(rng=rng, **kwargs)
         assert rng.random() == np.random.default_rng(3).random()
 
+    def test_indexing_builds_the_reference_triple(self):
+        kwargs = dict(count=30, lights_per_point=4, w=8, dense_lights=100,
+                      draws_per_point=3)
+        got = make_training_set(rng=np.random.default_rng(12), **kwargs)
+        want = reference_training_set(rng=np.random.default_rng(12), **kwargs)
+        for i in (0, 7, np.int64(7), np.int32(89), -1, -90):
+            assert_same_triple(got[i], want[int(i)])
+        for i in (90, np.int64(90), -91):
+            with pytest.raises(IndexError):
+                got[i]
+
+    def test_iterates_the_reference_triples(self):
+        kwargs = dict(count=20, lights_per_point=6, w=8, dense_lights=100,
+                      draws_per_point=2)
+        got = list(make_training_set(rng=np.random.default_rng(13), **kwargs))
+        want = reference_training_set(rng=np.random.default_rng(13), **kwargs)
+        assert len(got) == len(want) == 40
+        for pair in zip(got, want):
+            assert_same_triple(*pair)
+
+    def test_slice_trains_as_the_same_draws_built_by_hand(self, tmp_path):
+        dataset = make_training_set(30, lights_per_point=8, w=8, dense_lights=100,
+                                    rng=np.random.default_rng(14), draws_per_point=3)
+        part = dataset[10:50]
+        assert isinstance(part, TrainingSet) and len(part) == 40
+        points, owner = np.unique(dataset.owner[10:50], return_inverse=True)
+        by_hand = TrainingSet(dataset.lights[10:50].copy(),
+                              dataset.irradiance[10:50].copy(), owner,
+                              dataset.normals[points], dataset.dense[points],
+                              dataset.mask)
+        cfg = TrainConfig(batch_size=8, epochs=2, seed=3,
+                          li_hidden=(8,), ne_hidden=(8,))
+        for tag, data in (("slice", part), ("hand", by_hand)):
+            li, ne, _ = train_alternating(data, cfg)
+            save_model(li, tmp_path / f"li_{tag}.spln")
+            save_model(ne, tmp_path / f"ne_{tag}.spln")
+        for kind in ("li", "ne"):
+            assert ((tmp_path / f"{kind}_slice.spln").read_bytes()
+                    == (tmp_path / f"{kind}_hand.spln").read_bytes())
+
     def test_empty_set_draws_nothing(self):
         rng = np.random.default_rng(3)
-        assert make_training_set(0, rng=rng) == []
+        assert len(make_training_set(0, rng=rng)) == 0
         assert rng.random() == np.random.default_rng(3).random()
 
 
