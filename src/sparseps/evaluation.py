@@ -68,8 +68,10 @@ class LsSolver:
 class InpaintLsSolver:
     """Bootstrap LS, symmetry inpainting, then LS on the completed maps.
 
-    The bootstrap estimate supplies each pixel's mirror axis; the inpainted
-    dense maps are read at the in-disk cell centres and refit in one batch.
+    The bootstrap estimate supplies each pixel's mirror axis.  The inpainter
+    writes the completed maps at the in-disk cells straight into the
+    refit's right-hand side (cells, pixels), refit in one batch.  A trial
+    where no pixel passes the bootstrap fit returns every pixel invalid.
     mirror_step=False gives the diffusion-only control variant.
     """
 
@@ -77,6 +79,8 @@ class InpaintLsSolver:
         self.w = w
         self.mirror_step = mirror_step
         self.name = "inpaint_ls" if mirror_step else "diffusion_ls"
+        self.cell_lights, rows, cols = map_cell_lights(w)
+        self.read = rows * w + cols
 
     def solve_batch(self, lights, irradiance_matrix):
         m = irradiance_matrix.shape[1]
@@ -86,10 +90,9 @@ class InpaintLsSolver:
         boot, valid = ls_normal_batch(lights, irradiance_matrix)
         cells, values, _ = occupied_cells(lights, irradiance_matrix, self.w)
         axes = axis_from_normal(boot[valid]) if self.mirror_step else None
-        dense = symmetry_inpaint_maps(self.w, cells, values[:, valid], axes)
-        cell_lights, rows, cols = map_cell_lights(self.w)
-        normals[valid], refit_valid = ls_normal_batch(
-            cell_lights, dense[:, rows, cols].T)
+        dense = symmetry_inpaint_maps(self.w, cells, values[:, valid], axes,
+                                      self.read)
+        normals[valid], refit_valid = ls_normal_batch(self.cell_lights, dense)
         valid[valid] = refit_valid
         return normals, valid
 
@@ -200,7 +203,6 @@ def run_trials(scene: RenderedScene, solver, cfg: TrialConfig) -> EvalReport:
     per_trial = np.zeros(cfg.n_trials)
     excluded = 0
     last_errors = None
-    last_valid = None
     for trial in range(cfg.n_trials):
         idx = rng.choice(pool, size=cfg.n_lights, replace=False)
         true_lights = scene.lights[idx]
@@ -219,14 +221,12 @@ def run_trials(scene: RenderedScene, solver, cfg: TrialConfig) -> EvalReport:
         errors[valid] = angular_error_deg(normals[valid], gt[valid])
         excluded += int((~valid).sum())
         per_trial[trial] = float(errors[valid].mean()) if valid.any() else float("nan")
-        last_errors, last_valid = errors, valid
+        last_errors = errors
     solved = ~np.isnan(per_trial)
     if not solved.any():
         raise SparsePSError(f"{solver.name}: no trial has a valid pixel")
     error_map = np.zeros_like(scene.mask, dtype=float)
-    grid = np.zeros(last_valid.shape[0])
-    grid[last_valid] = last_errors[last_valid]
-    error_map[scene.mask] = grid
+    error_map[scene.mask] = last_errors         # zero at excluded pixels
     return EvalReport(
         solver=solver.name,
         seed=cfg.seed,

@@ -98,7 +98,11 @@ def _ls_fit(lights, irradiance_matrix):
 # Deterministic symmetry inpainter
 # ---------------------------------------------------------------------------
 
-def symmetry_inpaint_maps(w, cells, values, axes=None):
+# Maps per block: its padded values and flags (1.5 MB at w = 32) fit in L2.
+_INPAINT_BLOCK = 128
+
+
+def symmetry_inpaint_maps(w, cells, values, axes=None, read=None):
     """Complete a stack of sparse w x w maps: mirror known cells about each
     map's axis, then diffuse until every cell is filled.
 
@@ -114,65 +118,73 @@ def symmetry_inpaint_maps(w, cells, values, axes=None):
     filled neighbors, summed row by row.  The filled flags are bytes in a
     zero-bordered stack, so a pass counts every cell's filled neighbors
     with four shifted adds and reads the frontier's neighbor values through
-    fixed shifted views of the stack.  Returns the dense values (m, w, w),
-    clipped to [0, 1] outside the known cells.  With no known cell the maps
-    stay zero.
+    fixed shifted views of the stack, in blocks of _INPAINT_BLOCK maps that
+    reuse one set of buffers; a map reads only its own padded block, so the
+    blocks change no bit.  Returns the values at the flat cells `read`,
+    all by default, cell-major (n_read, m) and clipped to [0, 1] outside
+    the known cells.  With no known cell the maps stay zero.
     """
     values = np.asarray(values, dtype=float)
     m = values.shape[1]
+    read = np.arange(w * w) if read is None else np.asarray(read, np.int64)
 
     # Zero-bordered stack: every cell's 3x3 neighborhood is in bounds, and
     # empty and border cells hold value +0.0 and flag 0.  Cell r*w + c of
     # a map is (r+1)*side + c+1 of its padded block.
-    side = w + 2
-    cells = np.asarray(cells, dtype=np.int64)
-    pad_cells = cells + 2 * (cells // w) + side + 1
-    padded_v = np.zeros((m, side, side))
-    filled = np.zeros((m, side, side), dtype=np.uint8)
-    padded_v.reshape(m, -1)[:, pad_cells] = values.T
-    filled.reshape(m, -1)[:, pad_cells] = 1
-    flat_v = padded_v.reshape(-1)
-    flat_f = filled.reshape(-1)
-    if axes is not None:
-        dst, src = mirror_fill(w, axes, cells)
-        # Stack index k*w*w + r*w + c -> padded index k*side*side
-        # + (r+1)*side + c+1.
-        dst, src = ((i + 2 * (i // w) + 2 * side * (i // (w * w)) + side + 1)
-                    for i in (dst, src))
-        flat_v[dst] = flat_v[src]
-        flat_f[dst] = 1
-    # 1 at the empty interior cells, 0 at the filled and the border.
-    empty = np.zeros_like(filled)
-    np.subtract(1, filled[:, 1:-1, 1:-1], out=empty[:, 1:-1, 1:-1])
-    # Cell lo + j, lo = side + 1, is centre j of the count array below; its
-    # neighbor (dr, dc) is flat_v[j + (dr + 1) * side + dc + 1].  A frontier
-    # cell itself holds +0.0, which leaves a sum that is never -0.0
-    # unchanged, so its own view is left out of the sums.
-    lo = side + 1
-    views = [flat_v[(dr + 1) * side + dc + 1:] for dr in (-1, 0, 1)
-             for dc in (-1, 0, 1) if dr or dc]
-    centre_v, centre_f = flat_v[lo:], flat_f[lo:]
-    centre_empty = empty.reshape(-1)[lo:-lo]
-    while True:
-        across = flat_f[:-2] + flat_f[1:-1]
-        across += flat_f[2:]
-        count = across[:-2 * side] + across[side:-side]
-        count += across[2 * side:]
-        # min(count, empty) is 1 on the frontier and 0 elsewhere, so it
-        # reads as bool; `across` is done with and holds it.
-        j = np.flatnonzero(np.minimum(count, centre_empty, out=across[:count.size])
-                           .view(bool))
-        if j.size == 0:
-            break
-        sums = np.zeros(j.size)
-        for view in views:
-            sums += view.take(j)
-        centre_v[j] = sums / count.take(j)
-        centre_f[j] = 1
-        centre_empty[j] = 0
-
-    out = np.clip(padded_v[:, 1:-1, 1:-1], 0.0, 1.0)
-    out.reshape(m, -1)[:, cells] = values.T
+    side, size, lo = w + 2, (w + 2) ** 2, w + 3
+    pad_cells, pad_read = (i + 2 * (i // w) + lo
+                           for i in (np.asarray(cells, np.int64), read))
+    block = min(m, _INPAINT_BLOCK) or 1
+    # The result shares its allocation with the value stack, so it outsizes
+    # lstsq's copy of the result: glibc's trim threshold, twice the largest
+    # chunk it unmapped, then keeps a trial's freed pages for the next one.
+    store = np.empty(read.size * m + block * size)
+    out = store[:read.size * m].reshape(read.size, m)
+    filled, empty = np.zeros((2, block, side, side), dtype=np.uint8)
+    for start in range(0, m, block):
+        b = min(block, m - start)
+        flat_v, flat_f = store[out.size:out.size + b * size], filled[:b].reshape(-1)
+        flat_v[:] = flat_f[:] = 0
+        v = flat_v.reshape(b, size)
+        v[:, pad_cells] = values[:, start:start + b].T
+        flat_f.reshape(b, size)[:, pad_cells] = 1
+        if axes is not None:
+            dst, src = mirror_fill(w, np.asarray(axes)[start:start + b], cells)
+            # Stack index k*w*w + r*w + c -> padded k*size + (r+1)*side + c+1.
+            dst, src = ((i + 2 * (i // w) + 2 * side * (i // (w * w)) + lo)
+                        for i in (dst, src))
+            flat_v[dst] = flat_v[src]
+            flat_f[dst] = 1
+        # 1 at the empty interior cells, 0 at the filled and the border.
+        np.subtract(1, filled[:b, 1:-1, 1:-1], out=empty[:b, 1:-1, 1:-1])
+        # Cell lo + j is centre j of the count array below; its neighbor
+        # (dr, dc) is flat_v[j + (dr + 1) * side + dc + 1].  A frontier cell
+        # itself holds +0.0, which leaves a sum that is never -0.0
+        # unchanged, so its own view is left out of the sums.
+        views = [flat_v[(dr + 1) * side + dc + 1:] for dr in (-1, 0, 1)
+                 for dc in (-1, 0, 1) if dr or dc]
+        centre_v, centre_f = flat_v[lo:], flat_f[lo:]
+        centre_empty = empty[:b].reshape(-1)[lo:-lo]
+        while True:
+            a = flat_f[:-2] + flat_f[1:-1]
+            a += flat_f[2:]
+            c = a[:-2 * side] + a[side:-side]
+            c += a[2 * side:]
+            # min(count, empty) is 1 on the frontier and 0 elsewhere, so
+            # it reads as bool; `a` is done with and holds it.
+            j = np.flatnonzero(np.minimum(c, centre_empty, out=a[:c.size])
+                               .view(bool))
+            if j.size == 0:
+                break
+            sums = np.zeros(j.size)
+            for view in views:
+                sums += view.take(j)
+            centre_v[j] = sums / c.take(j)
+            centre_f[j] = 1
+            centre_empty[j] = 0
+        np.clip(v, 0.0, 1.0, out=v)
+        v[:, pad_cells] = values[:, start:start + b].T
+        out[:, start:start + b] = v[:, pad_read].T
     return out
 
 
@@ -186,11 +198,9 @@ def symmetry_inpaint(S: ObservationMap, n_hint=None,
     cells = np.flatnonzero(S.mask)
     if cells.size == 0:
         raise DegenerateSamplesError("inpainting requires at least one known cell")
-    axes = None
-    if mirror_step and n_hint is not None:
-        axes = axis_from_normal(n_hint)[None]
-    dense = symmetry_inpaint_maps(S.width, cells, S.values.ravel()[cells, None], axes)[0]
-    return ObservationMap(dense, np.ones_like(S.mask))
+    axes = axis_from_normal(n_hint)[None] if mirror_step and n_hint is not None else None
+    dense = symmetry_inpaint_maps(S.width, cells, S.values.ravel()[cells, None], axes)
+    return ObservationMap(dense.reshape(S.mask.shape), np.ones_like(S.mask))
 
 
 def dense_map_to_samples(D: ObservationMap) -> PixelSamples:

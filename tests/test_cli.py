@@ -141,6 +141,18 @@ class TestEval:
         assert capsys.readouterr().err == "error: ls: no trial has a valid pixel\n"
         assert not (tmp_path / "r.txt").exists()
 
+    def test_black_scene_exits_one_for_inpaint_ls(self, tmp_path, capsys):
+        scene = render_sphere(16, Lambertian(0.8), np.eye(3)[::-1])
+        scene.images[:] = 0.0
+        save_scene(scene, tmp_path / "scene")
+        status = run("eval", "--scene", tmp_path / "scene", "--solver",
+                     "inpaint_ls", "--lights", 3, "--trials", 2,
+                     "--out", tmp_path / "r.txt")
+        assert status == 1
+        assert capsys.readouterr().err == \
+            "error: inpaint_ls: no trial has a valid pixel\n"
+        assert not (tmp_path / "r.txt").exists()
+
     def test_zero_light_row_exits_one(self, scene_dir, tmp_path, capsys):
         scene = tmp_path / "scene"
         shutil.copytree(scene_dir, scene)

@@ -19,12 +19,16 @@ To print the current table, run the module on an empty scratch directory:
 
 import contextlib
 import hashlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparseps
 from sparseps.cli import main
 from sparseps.evaluation import (
     InpaintLsSolver,
@@ -125,6 +129,24 @@ def _sha_training_sets():
     return _sha(*(np.ascontiguousarray(c).tobytes() for c in chunks))
 
 
+def inpaint_hashes(directory):
+    """Render the scene, evaluate both inpainting solvers on it and hash
+    their outputs, writing under `directory` (a Path)."""
+    scene_dir = directory / "scene"
+    report = directory / "eval.txt"
+    assert main(["render", "--out", str(scene_dir), *map(str, RENDER)]) == 0
+    assert main(["eval", "--scene", str(scene_dir), "--out", str(report),
+                 *map(str, EVAL)]) == 0
+    diffusion = run_trials(load_scene(scene_dir),
+                           InpaintLsSolver(w=32, mirror_step=False), DIFFUSION)
+    return {
+        "eval_report": _sha(report.read_bytes()),
+        "eval_errmap_pfm": _sha((directory / "eval_errmap.pfm").read_bytes()),
+        "eval_errmap_pgm": _sha((directory / "eval_errmap.pgm").read_bytes()),
+        "diffusion_ls": _sha_report(diffusion),
+    }
+
+
 def golden_hashes(directory):
     """Render, export, train, evaluate and hash, writing under `directory`
     (a Path)."""
@@ -132,29 +154,20 @@ def golden_hashes(directory):
     maps_dir = directory / "maps"
     model_dir = directory / "model"
     model_w32 = directory / "model_w32"
-    report = directory / "eval.txt"
     trained = directory / "trained.txt"
-    assert main(["render", "--out", str(scene_dir), *map(str, RENDER)]) == 0
-    assert main(["eval", "--scene", str(scene_dir), "--out", str(report),
-                 *map(str, EVAL)]) == 0
+    inpainted = inpaint_hashes(directory)
     assert main(["maps", "--scene", str(scene_dir), "--out", str(maps_dir),
                  *map(str, MAPS)]) == 0
     assert main(["train", "--out", str(model_dir), *map(str, TRAIN)]) == 0
     assert main(["train", "--out", str(model_w32), *map(str, TRAIN_W32)]) == 0
     assert main(["eval", "--scene", str(scene_dir), "--model", str(model_dir),
                  "--out", str(trained), *map(str, EVAL_TRAINED)]) == 0
-    scene = load_scene(scene_dir)
-    diffusion = run_trials(scene, InpaintLsSolver(w=32, mirror_step=False),
-                           DIFFUSION)
     solver_w32 = ModelSolver(load_model(model_w32 / "li.spln"),
                              load_model(model_w32 / "ne.spln"), w=32)
-    trained_w32 = run_trials(scene, solver_w32, TRAINED_W32)
+    trained_w32 = run_trials(load_scene(scene_dir), solver_w32, TRAINED_W32)
     return {
         "render": _sha_dir(scene_dir),
-        "eval_report": _sha(report.read_bytes()),
-        "eval_errmap_pfm": _sha((directory / "eval_errmap.pfm").read_bytes()),
-        "eval_errmap_pgm": _sha((directory / "eval_errmap.pgm").read_bytes()),
-        "diffusion_ls": _sha_report(diffusion),
+        **inpainted,
         "maps": _sha_dir(maps_dir),
         "train_li": _sha((model_dir / "li.spln").read_bytes()),
         "train_ne": _sha((model_dir / "ne.spln").read_bytes()),
@@ -178,6 +191,32 @@ def hashes(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_matches_golden_hash(hashes, name):
     assert hashes[name] == GOLDEN[name]
+
+
+def test_inpaint_hashes_hold_at_one_blas_thread(tmp_path):
+    """The inpainting outputs have the same bits with one OpenBLAS thread.
+
+    Recomputed in a fresh process, since OpenBLAS reads the thread count
+    when it loads.  trained_w32 stays out until trained inference has the
+    same bits at every thread count (ROADMAP item 3); today it does not.
+    """
+    code = ("import contextlib, json, sys\n"
+            "from pathlib import Path\n"
+            "import test_golden\n"
+            "with contextlib.redirect_stdout(sys.stderr):\n"
+            "    hashes = test_golden.inpaint_hashes(Path(sys.argv[1]))\n"
+            "print(json.dumps(hashes))\n")
+    path = [str(Path(__file__).parent), str(Path(sparseps.__file__).parents[1]),
+            os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in path if p))
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    hashes = json.loads(done.stdout)
+    assert hashes == {name: GOLDEN[name] for name in hashes}
+    assert sorted(hashes) == ["diffusion_ls", "eval_errmap_pfm",
+                              "eval_errmap_pgm", "eval_report"]
 
 
 def test_w32_batches_straddle_row_blocks():

@@ -48,6 +48,7 @@ from sparseps.render import Lambertian, make_dense_gt_map, shade
 from sparseps.solvers import (
     TrainConfig,
     TrainingSet,
+    _INPAINT_BLOCK,
     _Prepared,
     li_objective,
     li_objective_and_grads,
@@ -198,7 +199,12 @@ class TestSymmetryInpaintMaps:
         cls.mask = np.zeros(32 * 32, np.uint8)
         cls.mask[cls.cells] = 1
         cls.mask = cls.mask.reshape(32, 32)
-        cls.check = range(0, cls.values.shape[1], 9)
+        # Every 9th map, and both maps at each edge between two blocks.
+        m = cls.values.shape[1]
+        edges = range(_INPAINT_BLOCK, m, _INPAINT_BLOCK)
+        cls.check = sorted({*range(0, m, 9), *edges,
+                            *(edge - 1 for edge in edges)})
+        assert m > 2 * _INPAINT_BLOCK
 
     def dense(self, p):
         out = np.zeros(32 * 32)
@@ -209,10 +215,11 @@ class TestSymmetryInpaintMaps:
     def test_bit_identical_to_per_map_passes(self, mirror_step):
         axes = axis_from_normal(self.boot) if mirror_step else None
         dense = symmetry_inpaint_maps(32, self.cells, self.values, axes)
+        assert dense.shape == (32 * 32, self.values.shape[1])
         for p in self.check:
             ref = reference_inpaint(self.dense(p), self.mask, self.boot[p],
                                     mirror_step)
-            np.testing.assert_array_equal(dense[p], ref)
+            np.testing.assert_array_equal(dense[:, p].reshape(32, 32), ref)
             single = symmetry_inpaint(ObservationMap(self.dense(p), self.mask),
                                       n_hint=self.boot[p], mirror_step=mirror_step)
             np.testing.assert_array_equal(single.values, ref)
@@ -243,14 +250,47 @@ class TestSymmetryInpaintMaps:
                 dense = symmetry_inpaint_maps(w, cells, flat[p, cells, None], one)
                 ref = reference_inpaint(values[p], known[p], normals[p],
                                         mirror_step)
-                assert dense[0].tobytes() == ref.tobytes(), (p, mirror_step)
+                assert dense.tobytes() == ref.tobytes(), (p, mirror_step)
                 assert p != 2 or not dense.any()      # map 2: no known cell
             cells = np.flatnonzero(known[5])
             dense = symmetry_inpaint_maps(w, cells, flat[:, cells].T, axes)
             for p in range(m):
                 ref = reference_inpaint(values[p], known[5], normals[p],
                                         mirror_step)
-                assert dense[p].tobytes() == ref.tobytes(), (p, mirror_step)
+                assert dense[:, p].tobytes() == ref.tobytes(), (p, mirror_step)
+
+    @pytest.mark.parametrize("mirror_step", [True, False])
+    @pytest.mark.parametrize("m", [0, 1, _INPAINT_BLOCK - 1, _INPAINT_BLOCK,
+                                   _INPAINT_BLOCK + 1, 2 * _INPAINT_BLOCK + 1])
+    def test_block_edges_against_reference(self, m, mirror_step):
+        # Every map of stacks that end just before, at and after a block
+        # edge, with values that reach 1.5 so that the clip and the
+        # restore of the known cells show.
+        w = 11
+        rng = np.random.default_rng(m)
+        known = rng.uniform(size=(w, w)) < 0.12
+        cells = np.flatnonzero(known)
+        values = 1.5 * rng.uniform(size=(m, w, w))
+        normals = rng.normal(size=(m, 3))
+        normals[:, 2] = np.abs(normals[:, 2]) + 0.1
+        axes = axis_from_normal(normals) if mirror_step else None
+        dense = symmetry_inpaint_maps(w, cells, values.reshape(m, w * w)[:, cells].T,
+                                      axes)
+        assert dense.shape == (w * w, m)
+        for p in range(m):
+            ref = reference_inpaint(values[p], known, normals[p], mirror_step)
+            assert dense[:, p].tobytes() == ref.tobytes(), p
+
+    def test_read_cells_are_rows_of_the_whole_result(self):
+        # Any cells, known or not, in any order and with repeats.
+        axes = axis_from_normal(self.boot)
+        whole = symmetry_inpaint_maps(32, self.cells, self.values, axes)
+        read = np.random.default_rng(51).permutation(32 * 32)[:300]
+        read = np.concatenate([read, self.cells[::-1], read[:5]])
+        got = symmetry_inpaint_maps(32, self.cells, self.values, axes, read)
+        assert got.tobytes() == whole[read].tobytes()
+        assert symmetry_inpaint_maps(32, self.cells, self.values[:, :0], axes[:0],
+                                     read).shape == (read.size, 0)
 
     def test_no_known_cell_rejected(self):
         empty = ObservationMap(np.zeros((8, 8)), np.zeros((8, 8), np.uint8))
